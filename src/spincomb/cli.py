@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
@@ -22,11 +21,9 @@ from .errors import CapExceededError, CurveFileError, GraphError
 from .graphs import betti_number, connected_components, separating_edges, separating_vertices
 from .spin import (
     check_corollary_split,
-    curve_genus,
-    even_sets,
+    even_set_supports,
     is_compact_type,
     spin_report,
-    support_description,
 )
 from .transforms import (
     Verdict,
@@ -48,7 +45,9 @@ def _pow2(n: int) -> str:
 
 
 def _load(path: str) -> CurveFile:
-    return parse_curve(Path(path).read_text(encoding="utf-8"))
+    # newline="" hands the line endings to the parser as they are in the file
+    with open(path, encoding="utf-8", newline="") as f:
+        return parse_curve(f.read())
 
 
 def _verdict_dict(v: Verdict, edge_names) -> dict:
@@ -184,11 +183,10 @@ def _render_classify(data: dict) -> List[str]:
 def cmd_evensets(cf: CurveFile) -> dict:
     x = cf.to_dual_graph()
     sets = []
-    for delta in even_sets(x):
-        d = support_description(x, delta)
+    for d in even_set_supports(x):
         sets.append(
             {
-                "edges": sorted(cf.edge_names[i] for i in delta.indices()),
+                "edges": sorted(cf.edge_names[i] for i in d.even_set.indices()),
                 "betti": d.gluing_dimension,
                 "blown_up_count": d.exceptional_count,
                 "point_count": d.point_count,

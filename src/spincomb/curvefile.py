@@ -3,8 +3,11 @@
 Grammar (ASCII or UTF-8 names, LF or CRLF line endings)::
 
     # comment
-    v <name> genus=<int>
+    v <name> genus=<digits>
     e <name> <vertex-name> <vertex-name>
+
+``<digits>`` is one or more ASCII digits 0-9.  Lines end at LF or CRLF
+only; any other line separator Unicode knows stays inside its line.
 
 Vertex and edge indices are assigned in declaration order.
 """
@@ -41,7 +44,8 @@ def parse_curve(text: str) -> CurveFile:
     edge_pairs: List[Tuple[int, int]] = []
     vertex_index = {}
     edge_seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -53,12 +57,13 @@ def parse_curve(text: str) -> CurveFile:
             name = fields[1]
             if name in vertex_index:
                 raise DuplicateNameError(lineno, name)
+            value = fields[2][len("genus="):]
+            if not (value.isascii() and value.isdigit()):
+                raise ParseError(lineno, f"bad genus value in {raw!r}")
             try:
-                mark = int(fields[2][len("genus="):])
-            except ValueError:
-                raise ParseError(lineno, f"bad genus value in {raw!r}") from None
-            if mark < 0:
-                raise ParseError(lineno, f"genus must be nonnegative: {raw!r}")
+                mark = int(value)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(lineno, f"genus value too long in {raw!r}") from None
             vertex_index[name] = len(vertex_names)
             vertex_names.append(name)
             genus_marks.append(mark)

@@ -1,27 +1,34 @@
 """The GF(2) cycle space of a multigraph.
 
 Basis construction, membership, enumeration of all cyclic (= even) edge
-sets, the set of cyclic Betti numbers, the eulerian test and circuit
-decomposition.
+sets, the one-pass profile of their Betti numbers and the set of them, the
+eulerian test and circuit decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from itertools import accumulate
+from operator import xor
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import CapExceededError, NotCyclicError, WidthMismatchError
 from .graphs import (
+    Edge,
     EdgeSubset,
     Multigraph,
     ZeroChain,
-    _bits_betti,
+    _closing_edges,
     connected_components,
     induced_subgraph,
 )
 
 #: Enumerating a cycle space of dimension above this is refused.
 ENUMERATION_CAP = 30
+
+#: Cyclic sets are read this many edges at a time, through a 2^_CHUNK-entry
+#: table per chunk: wider tables cost more to build than small graphs save.
+_CHUNK = 6
 
 
 @dataclass(frozen=True)
@@ -111,21 +118,31 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
 
 
 def _cyclic_bits(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[int]:
-    """All 2^b1 cyclic edge bitmasks, in coefficient-counter order."""
+    """All 2^b1 cyclic edge bitmasks, in coefficient-counter order.
+
+    Set k is the XOR of the basis vectors at the set bits of k.  From k - 1
+    to k the counter flips bits 0..t, t the lowest set bit of k, so one XOR
+    with the prefix sum basis[0] ^ ... ^ basis[t] makes each step.  The cap
+    is checked on the call, before any set is produced.
+    """
     basis = [v.bits for v in cycle_basis(g).basis_vectors]
-    b1 = len(basis)
-    if b1 > cap:
-        raise CapExceededError(b1, cap)
-    for mask in range(1 << b1):
-        bits = 0
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                bits ^= basis[i]
-            m >>= 1
-            i += 1
-        yield bits
+    if len(basis) > cap:
+        raise CapExceededError(len(basis), cap)
+    prefix = list(accumulate(basis, xor))
+    steps = (prefix[(k & -k).bit_length() - 1] for k in range(1, 1 << len(basis)))
+    return accumulate(steps, xor, initial=0)
+
+
+def _chunk_tables(edges: Tuple[Edge, ...]) -> List[List[Tuple[Edge, ...]]]:
+    """For each run of _CHUNK consecutive edges, the endpoint pairs picked
+    out by every bit pattern over it; a table doubles once per edge."""
+    tables = []
+    for start in range(0, len(edges), _CHUNK):
+        table: List[Tuple[Edge, ...]] = [()]
+        for edge in edges[start:start + _CHUNK]:
+            table += [pairs + (edge,) for pairs in table]
+        tables.append(table)
+    return tables
 
 
 def cyclic_sets(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[EdgeSubset]:
@@ -135,9 +152,39 @@ def cyclic_sets(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[EdgeSubse
         yield EdgeSubset(bits, width)
 
 
+def betti_profile(
+    g: Multigraph, cap: int = ENUMERATION_CAP
+) -> Dict[int, Tuple[int, EdgeSubset]]:
+    """One pass over the cycle space, by cyclic Betti number.
+
+    Maps each m in B, in increasing order, to the number of cyclic sets D
+    with b1(D) = m and the first such D in the order of :func:`cyclic_sets`.
+    """
+    sets = _cyclic_bits(g, cap)
+    tables = _chunk_tables(g.edges)
+    base = list(range(g.vertex_count))
+    mask = (1 << _CHUNK) - 1
+    counts: Dict[int, int] = {}
+    first: Dict[int, int] = {}
+    for bits in sets:
+        parent = base[:]
+        n1 = 0
+        rest = bits
+        for table in tables:
+            n1 += _closing_edges(parent, table[rest & mask])
+            rest >>= _CHUNK
+        if n1 in counts:
+            counts[n1] += 1
+        else:
+            counts[n1] = 1
+            first[n1] = bits
+    width = g.edge_count
+    return {m: (counts[m], EdgeSubset(first[m], width)) for m in sorted(counts)}
+
+
 def cyclic_betti_set(g: Multigraph, cap: int = ENUMERATION_CAP) -> frozenset:
     """The set of first Betti numbers of cyclic subgraphs."""
-    return frozenset(_bits_betti(g, bits) for bits in _cyclic_bits(g, cap))
+    return frozenset(betti_profile(g, cap))
 
 
 def is_eulerian(g: Multigraph) -> bool:

@@ -143,10 +143,6 @@ def valency(g: Multigraph, v: int) -> int:
     return total
 
 
-def _incident_edges(g: Multigraph, v: int) -> List[int]:
-    return [eid for eid, (a, b) in enumerate(g.edges) if a == v or b == v]
-
-
 def connected_components(g: Multigraph) -> List[List[int]]:
     """Partition of vertex indices into maximal connected pieces."""
     inc = g.incidence()
@@ -273,33 +269,27 @@ def subset_betti(g: Multigraph, s: EdgeSubset) -> int:
     """Betti number of the subgraph induced by s, without materializing it."""
     if s.width != g.edge_count:
         raise WidthMismatchError(s.width, g.edge_count)
-    return _bits_betti(g, s.bits)
-
-
-def _bits_betti(g: Multigraph, bits: int) -> int:
-    """Internal fast path: betti of the subgraph induced by an edge bitmask."""
-    parent: dict = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    n_edges = 0
-    n_comp = 0
     edges = g.edges
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        a, b = edges[low.bit_length() - 1]
-        n_edges += 1
-        for v in (a, b):
-            if v not in parent:
-                parent[v] = v
-                n_comp += 1
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            n_comp -= 1
-    return n_edges - len(parent) + n_comp
+    return _closing_edges(list(range(g.vertex_count)), [edges[i] for i in s.indices()])
+
+
+def _closing_edges(parent: List[int], pairs: Iterable[Edge]) -> int:
+    """The b1 kernel: how many of the endpoint pairs close a cycle.
+
+    ``parent`` is a union-find forest over the vertices; the pairs are
+    added to it in place.  An edge whose endpoints already share a root
+    closes a cycle, any other edge joins two trees.  Starting from a forest
+    in which every vertex is its own root, the closing edges of a set of
+    edges, added in one call or in several, number its Betti number.
+    """
+    closed = 0
+    for a, b in pairs:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            closed += 1
+        else:
+            parent[a] = b
+    return closed

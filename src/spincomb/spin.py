@@ -8,24 +8,24 @@ Python's unbounded integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
-from .cycles import ENUMERATION_CAP, _cyclic_bits, cyclic_betti_set, cyclic_sets, is_cyclic
+from .cycles import ENUMERATION_CAP, betti_profile, cyclic_betti_set, cyclic_sets, is_cyclic
 from .errors import InternalLengthMismatchError, NotEvenError, PreconditionFailedError
 from .graphs import (
     EdgeSubset,
     Multigraph,
-    _bits_betti,
     betti_number,
     connected_components,
+    subset_betti,
     valency,
 )
 from .transforms import (
     Verdict,
+    _theorem2_verdict,
+    _theorem3_verdict,
     classify,
-    is_fat_triangle,
-    is_loop_graph,
     is_split,
     is_superstable,
     is_tetrahedron,
@@ -118,12 +118,10 @@ def spin_report(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> SpinReport:
     genus = b + p
     multiset: Dict[int, int] = {}
     component_count = 0
-    for bits in _cyclic_bits(x.graph, cap):
-        n1 = _bits_betti(x.graph, bits)
-        count = 1 << (2 * p + n1)
+    for n1, (sets, _) in betti_profile(x.graph, cap).items():
+        count = sets << (2 * p + n1)
         component_count += count
-        exponent = b - n1
-        multiset[exponent] = multiset.get(exponent, 0) + count
+        multiset[b - n1] = count
     length = sum(count << exponent for exponent, count in multiset.items())
     if length != 1 << (2 * genus):
         raise InternalLengthMismatchError(length, 1 << (2 * genus))
@@ -149,9 +147,20 @@ def support_description(x: CurveDualGraph, delta: EdgeSubset) -> SupportDescript
     """Describe the quasistable support over the even set delta."""
     if not is_cyclic(x.graph, delta):
         raise NotEvenError("the node subset is not even; no spin support exists")
+    return _support(x, delta, betti_number(x.graph), sum(x.genus_marks))
+
+
+def even_set_supports(x: CurveDualGraph) -> Iterator[SupportDescription]:
+    """The support description of every even set, in the order of
+    :func:`even_sets`; b and p are computed once for the whole curve."""
     b = betti_number(x.graph)
     p = sum(x.genus_marks)
-    n1 = _bits_betti(x.graph, delta.bits)
+    for delta in even_sets(x):
+        yield _support(x, delta, b, p)
+
+
+def _support(x: CurveDualGraph, delta: EdgeSubset, b: int, p: int) -> SupportDescription:
+    n1 = subset_betti(x.graph, delta)
     complement = delta ^ EdgeSubset.full(delta.width)
     return SupportDescription(
         even_set=delta,
@@ -180,25 +189,18 @@ def check_corollary_final(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Verd
     """Genus >= 4, superstable dual graph: (i) if 2^(b-2) is not a
     multiplicity then the graph is split (or the loop / tetrahedron cases
     of the underlying classification); (ii) if 2^(b-3) is absent and some
-    smaller multiplicity occurs, the dual graph is the fat-triangle."""
+    smaller multiplicity occurs, the dual graph is the fat-triangle.  These
+    are theorems 2 and 3 on the dual graph, judged from one pass."""
     if curve_genus(x) < 4:
         raise PreconditionFailedError("curve genus must be at least 4")
     if not is_superstable(x.graph):
         raise PreconditionFailedError("dual graph must be superstable")
-    bset = cyclic_betti_set(x.graph, cap)
-    b1 = betti_number(x.graph)
+    profile = betti_profile(x.graph, cap)
     cls = classify(x.graph)
-
-    exercised_i = 2 not in bset
-    ok_i = not exercised_i or (
-        is_split(x.graph)
-        or (b1 == 1 and is_loop_graph(x.graph))
-        or (b1 == 3 and is_tetrahedron(x.graph))
-    )
-    exercised_ii = 3 not in bset and any(m > 3 for m in bset)
-    ok_ii = not exercised_ii or (b1 == 4 and is_fat_triangle(x.graph))
+    part_i = _theorem2_verdict(x.graph, profile, cls)
+    part_ii = _theorem3_verdict(x.graph, profile, cls)
     return Verdict(
-        ok_i and ok_ii,
+        part_i.holds and part_ii.holds,
         cls,
-        hypothesis_exercised=exercised_i or exercised_ii,
+        hypothesis_exercised=part_i.hypothesis_exercised or part_ii.hypothesis_exercised,
     )

@@ -7,9 +7,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .cycles import cyclic_betti_set, cyclic_sets
+from .cycles import betti_profile
 from .errors import (
     BadIndexError,
     LoopVertexError,
@@ -24,7 +24,6 @@ from .graphs import (
     betti_number,
     connected_components,
     separating_edges,
-    subset_betti,
     valency,
 )
 
@@ -107,30 +106,32 @@ def contract_separating_edge(g: Multigraph, e: int) -> Multigraph:
     return _drop_vertex(g.vertex_count, edges, v)
 
 
-def _loop_at(g: Multigraph, v: int) -> bool:
-    return any(a == b == v for a, b in g.edges)
+def _valencies(g: Multigraph) -> Tuple[List[int], List[bool]]:
+    """Every vertex's valency and whether it carries a loop, in one sweep."""
+    val = [0] * g.vertex_count
+    loop = [False] * g.vertex_count
+    for a, b in g.edges:
+        val[a] += 1
+        val[b] += 1
+        if a == b:
+            loop[a] = True
+    return val, loop
 
 
 def is_superstable(g: Multigraph) -> bool:
     """All valencies at least 3, except that a vertex carrying exactly one
     loop and nothing else is allowed."""
-    for v in range(g.vertex_count):
-        val = valency(g, v)
-        if val >= 3:
-            continue
-        if val == 2 and _loop_at(g, v):
-            continue
-        return False
-    return True
+    val, loop = _valencies(g)
+    return all(d >= 3 or (d == 2 and loop[v]) for v, d in enumerate(val))
 
 
 def _reduction_candidates(g: Multigraph) -> List[Tuple[str, int]]:
+    val, loop = _valencies(g)
     out: List[Tuple[str, int]] = []
-    for v in range(g.vertex_count):
-        val = valency(g, v)
-        if val == 1:
+    for v, d in enumerate(val):
+        if d == 1:
             out.append(("eliminate", v))
-        elif val == 2 and not _loop_at(g, v):
+        elif d == 2 and not loop[v]:
             out.append(("smooth", v))
     return out
 
@@ -214,26 +215,12 @@ def classify(g: Multigraph) -> str:
     return "other"
 
 
-def _cyclic_witness(g: Multigraph, target_betti: int) -> Optional[EdgeSubset]:
-    for s in cyclic_sets(g):
-        if subset_betti(g, s) == target_betti:
-            return s
-    return None
-
-
-def check_theorem2(g: Multigraph) -> Verdict:
-    """Classification of superstable graphs whose cyclic Betti numbers omit 2.
-
-    Such a graph must be split, a loop (b1 = 1), or the tetrahedron
-    (b1 = 3).  When 2 does occur, the verdict is vacuously true and a
-    cyclic set of Betti number 2 is attached as witness.
-    """
-    if not is_superstable(g):
-        raise NotSuperstableError("theorem check needs a superstable graph")
-    bset = cyclic_betti_set(g)
-    cls = classify(g)
-    if 2 in bset:
-        return Verdict(True, cls, witness=_cyclic_witness(g, 2))
+def _theorem2_verdict(
+    g: Multigraph, profile: Dict[int, Tuple[int, EdgeSubset]], cls: str
+) -> Verdict:
+    """Theorem 2 on a superstable g, from its betti_profile and class."""
+    if 2 in profile:
+        return Verdict(True, cls, witness=profile[2][1])
     b1 = betti_number(g)
     ok = (
         is_split(g)
@@ -243,16 +230,32 @@ def check_theorem2(g: Multigraph) -> Verdict:
     return Verdict(ok, cls, hypothesis_exercised=True)
 
 
+def _theorem3_verdict(
+    g: Multigraph, profile: Dict[int, Tuple[int, EdgeSubset]], cls: str
+) -> Verdict:
+    """Theorem 3 on a superstable g, from its betti_profile and class."""
+    exercised = 3 not in profile and any(m > 3 for m in profile)
+    if not exercised:
+        return Verdict(True, cls, witness=profile[3][1] if 3 in profile else None)
+    ok = betti_number(g) == 4 and is_fat_triangle(g)
+    return Verdict(ok, cls, hypothesis_exercised=True)
+
+
+def check_theorem2(g: Multigraph) -> Verdict:
+    """Classification of superstable graphs whose cyclic Betti numbers omit 2.
+
+    Such a graph must be split, a loop (b1 = 1), or the tetrahedron
+    (b1 = 3).  When 2 does occur, the verdict is vacuously true and the
+    first cyclic set of Betti number 2 is attached as witness.
+    """
+    if not is_superstable(g):
+        raise NotSuperstableError("theorem check needs a superstable graph")
+    return _theorem2_verdict(g, betti_profile(g), classify(g))
+
+
 def check_theorem3(g: Multigraph) -> Verdict:
     """Superstable graphs omitting 3 but containing some m > 3 in their
     cyclic Betti numbers must be the fat-triangle (with b1 = 4)."""
     if not is_superstable(g):
         raise NotSuperstableError("theorem check needs a superstable graph")
-    bset = cyclic_betti_set(g)
-    cls = classify(g)
-    exercised = 3 not in bset and any(m > 3 for m in bset)
-    if not exercised:
-        witness = _cyclic_witness(g, 3) if 3 in bset else None
-        return Verdict(True, cls, witness=witness)
-    ok = betti_number(g) == 4 and is_fat_triangle(g)
-    return Verdict(ok, cls, hypothesis_exercised=True)
+    return _theorem3_verdict(g, betti_profile(g), classify(g))

@@ -89,6 +89,18 @@ def random_tree(rng: random.Random, max_vertices: int = 6) -> Multigraph:
     return build_graph(nu, [(rng.randrange(v), v) for v in range(1, nu)])
 
 
+def random_multigraph(
+    rng: random.Random, edge_count: int, max_vertices: int = 8
+) -> Multigraph:
+    """Exactly edge_count uniform endpoint pairs: loops, parallel edges and
+    several components all occur.  Vertices no pair touches are dropped."""
+    nu = rng.randint(1, max_vertices)
+    pairs = [(rng.randrange(nu), rng.randrange(nu)) for _ in range(edge_count)]
+    used = sorted({v for pair in pairs for v in pair})
+    remap = {v: i for i, v in enumerate(used)}
+    return build_graph(len(used), [(remap[a], remap[b]) for a, b in pairs])
+
+
 # ------------------------------------------------------------------- oracles
 
 def count_components(vertex_count: int, edges: Sequence[Edge]) -> int:
@@ -175,6 +187,52 @@ def subgraph_betti_oracle(g: Multigraph, bits: int) -> int:
     remap = {v: i for i, v in enumerate(verts)}
     edges = [(remap[a], remap[b]) for a, b in chosen]
     return len(edges) - len(verts) + count_components(len(verts), edges)
+
+
+def dict_union_find_betti(g: Multigraph, bits: int) -> int:
+    """delta - nu + c of the subgraph an edge bitmask induces, by a dict
+    union-find that counts vertices and components as it goes; shares no
+    code with the library's closing-edge count."""
+    parent: dict = {}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    n_edges = 0
+    n_comp = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        a, b = g.edges[low.bit_length() - 1]
+        n_edges += 1
+        for v in (a, b):
+            if v not in parent:
+                parent[v] = v
+                n_comp += 1
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            n_comp -= 1
+    return n_edges - len(parent) + n_comp
+
+
+def counter_order_oracle(basis: Sequence[int]) -> List[int]:
+    """Cyclic sets in coefficient-counter order, decoded flat: set k is the
+    XOR of the basis vectors at the set bits of k."""
+    out = []
+    for k in range(1 << len(basis)):
+        bits = 0
+        i = 0
+        while k:
+            if k & 1:
+                bits ^= basis[i]
+            k >>= 1
+            i += 1
+        out.append(bits)
+    return out
 
 
 @pytest.fixture

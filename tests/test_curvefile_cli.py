@@ -63,6 +63,10 @@ class TestParse:
             "v a\n",
             "v a genus=x\n",
             "v a genus=-1\n",
+            "v a genus=+0\n",
+            "v a genus=1_0\n",
+            "v a genus=\u0663\n",  # a non-ASCII digit
+            "v a genus=\n",
             "e n a\n",
             "q what\n",
         ],
@@ -70,6 +74,46 @@ class TestParse:
     def test_malformed_lines(self, bad):
         with pytest.raises(ParseError):
             parse_curve("v a genus=0\n" + bad if bad.startswith("e") else bad)
+
+
+class TestStrictGrammar:
+    """Genus values are ASCII digits; lines end at LF or CRLF only, where
+    str.splitlines would also break at the separators below and accept two
+    declarations on one line."""
+
+    SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_other_separators_stay_in_the_line(self, sep):
+        with pytest.raises(ParseError) as exc:
+            parse_curve("v a genus=0" + sep + "v b genus=0\ne n a b\n")
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_cli_rejects_other_separators(self, sep, tmp_path, capsys):
+        path = tmp_path / "sep.curve"
+        path.write_bytes(("v a genus=0" + sep + "v b genus=0\ne n a b\n").encode())
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["genus=1_0", "genus=+0", "genus=\u0663"])
+    def test_cli_rejects_genus_values(self, bad, tmp_path, capsys):
+        path = tmp_path / "genus.curve"
+        path.write_bytes(f"v a {bad}\ne n a a\n".encode())
+        assert main(["spin", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "genus" in err
+
+    def test_cli_reads_crlf(self, tmp_path, capsys):
+        path = tmp_path / "crlf.curve"
+        path.write_bytes(b"v a genus=1\r\nv b genus=0\r\ne n1 a b\r\ne n2 a b\r\n")
+        assert main(["--json", "spin", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["genus"] == 2
+
+    def test_genus_past_the_int_digit_limit(self):
+        with pytest.raises(ParseError):
+            parse_curve("v a genus=" + "9" * 5000 + "\n")
 
 
 class TestRoundTrip:

@@ -195,6 +195,35 @@ class TestSuperstableReduction:
         with pytest.raises(VanishingComponentError):
             superstable_reduction(path_graph(3))
 
+    def test_same_graph_as_per_vertex_scan(self):
+        """Without rng, the lowest applicable vertex is reduced first: the
+        result is the very graph a per-vertex valency scan produces."""
+
+        def scan_reduction(g):
+            while True:
+                for v in range(g.vertex_count):
+                    val = valency(g, v)
+                    if val == 1:
+                        g = eliminate_valency1(g, v)
+                        break
+                    if val == 2 and not any(a == b == v for a, b in g.edges):
+                        g = smooth_valency2(g, v)
+                        break
+                else:
+                    return g
+
+        for g in _reduction_corpus():
+            assert superstable_reduction(g) == scan_reduction(g)
+
+    def test_superstable_agrees_with_per_vertex_scan(self):
+        for g in enumerate_multigraphs(5):
+            want = all(
+                valency(g, v) >= 3
+                or (valency(g, v) == 2 and any(a == b == v for a, b in g.edges))
+                for v in range(g.vertex_count)
+            )
+            assert is_superstable(g) == want
+
 
 def _reduction_corpus():
     rng = random.Random(7)
