@@ -16,7 +16,7 @@ from typing import List, Optional
 from . import __version__
 from .curvefile import CurveFile, parse_curve
 from .cycles import cyclic_betti_set, is_eulerian
-from .enumeration import SweepReport, sweep_theorem2, sweep_theorem3
+from .enumeration import SweepReport, sweep_theorems
 from .errors import CapExceededError, CurveFileError, GraphError
 from .graphs import betti_number, connected_components, separating_edges, separating_vertices
 from .spin import (
@@ -27,8 +27,7 @@ from .spin import (
 )
 from .transforms import (
     Verdict,
-    check_theorem2,
-    check_theorem3,
+    check_theorems,
     is_fat_triangle,
     is_loop_graph,
     is_split,
@@ -150,8 +149,9 @@ def cmd_classify(cf: CurveFile) -> dict:
         if target is g
         else tuple(f"r{i}" for i in range(target.edge_count))
     )
-    data["theorem2"] = _verdict_dict(check_theorem2(target), names)
-    data["theorem3"] = _verdict_dict(check_theorem3(target), names)
+    theorem2, theorem3 = check_theorems(target)
+    data["theorem2"] = _verdict_dict(theorem2, names)
+    data["theorem3"] = _verdict_dict(theorem3, names)
     return data
 
 
@@ -218,10 +218,11 @@ def _sweep_dict(report: SweepReport) -> dict:
 
 
 def cmd_verify(max_edges: int) -> dict:
+    theorem2, theorem3 = sweep_theorems(max_edges)
     return {
         "max_edges": max_edges,
-        "theorem2": _sweep_dict(sweep_theorem2(max_edges)),
-        "theorem3": _sweep_dict(sweep_theorem3(max_edges)),
+        "theorem2": _sweep_dict(theorem2),
+        "theorem3": _sweep_dict(theorem3),
     }
 
 
@@ -261,30 +262,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.command == "verify":
             data = cmd_verify(args.max_edges)
-            text_lines = _render_verify(data)
+            render = _render_verify
             failed = data["theorem2"]["violations"] or data["theorem3"]["violations"]
         else:
             cf = _load(args.path)
-            handler = {
+            command, render = {
                 "analyze": (cmd_analyze, _render_analyze),
                 "spin": (cmd_spin, _render_spin),
                 "classify": (cmd_classify, _render_classify),
                 "evensets": (cmd_evensets, _render_evensets),
             }[args.command]
-            data = handler[0](cf)
-            text_lines = handler[1](data)
+            data = command(cf)
             failed = False
+        # rendering fails too once a count passes the int-to-str digit limit
+        print(json.dumps(data, indent=2, sort_keys=True) if args.json else "\n".join(render(data)))
     except CapExceededError as exc:
         print(f"error: cycle space too large to enumerate (b1={exc.betti})", file=sys.stderr)
         return 1
     except (CurveFileError, GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print("\n".join(text_lines))
     return 1 if failed else 0
 
 

@@ -8,8 +8,9 @@ eulerian test and circuit decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
-from operator import xor
+from operator import or_, xor
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import CapExceededError, NotCyclicError, WidthMismatchError
@@ -117,20 +118,30 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
     return CycleBasis(width, tuple(vectors), EdgeSubset(forest_bits, width))
 
 
-def _cyclic_bits(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[int]:
-    """All 2^b1 cyclic edge bitmasks, in coefficient-counter order.
-
-    Set k is the XOR of the basis vectors at the set bits of k.  From k - 1
-    to k the counter flips bits 0..t, t the lowest set bit of k, so one XOR
-    with the prefix sum basis[0] ^ ... ^ basis[t] makes each step.  The cap
-    is checked on the call, before any set is produced.
-    """
+def _basis_bits(g: Multigraph, cap: int) -> List[int]:
+    """The cycle basis as bitmasks, refused when longer than the cap."""
     basis = [v.bits for v in cycle_basis(g).basis_vectors]
     if len(basis) > cap:
         raise CapExceededError(len(basis), cap)
+    return basis
+
+
+def _counter_order(basis: List[int]) -> Iterator[int]:
+    """All 2^len(basis) XOR combinations, in coefficient-counter order.
+
+    Set k is the XOR of the basis vectors at the set bits of k.  From k - 1
+    to k the counter flips bits 0..t, t the lowest set bit of k, so one XOR
+    with the prefix sum basis[0] ^ ... ^ basis[t] makes each step.
+    """
     prefix = list(accumulate(basis, xor))
     steps = (prefix[(k & -k).bit_length() - 1] for k in range(1, 1 << len(basis)))
     return accumulate(steps, xor, initial=0)
+
+
+def _cyclic_bits(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[int]:
+    """All 2^b1 cyclic edge bitmasks, in coefficient-counter order.  The cap
+    is checked on the call, before any set is produced."""
+    return _counter_order(_basis_bits(g, cap))
 
 
 def _chunk_tables(edges: Tuple[Edge, ...]) -> List[List[Tuple[Edge, ...]]]:
@@ -159,14 +170,22 @@ def betti_profile(
 
     Maps each m in B, in increasing order, to the number of cyclic sets D
     with b1(D) = m and the first such D in the order of :func:`cyclic_sets`.
+    Only edges on some cycle (the support of the basis) are read: the sets
+    are enumerated with bit i standing for the i-th of those edges, and only
+    the first sets are mapped back to edge indices.
     """
-    sets = _cyclic_bits(g, cap)
-    tables = _chunk_tables(g.edges)
+    basis = _basis_bits(g, cap)
+    union = reduce(or_, basis, 0)
+    support = [eid for eid in range(g.edge_count) if union >> eid & 1]
+    packed = [
+        sum(1 << i for i, eid in enumerate(support) if v >> eid & 1) for v in basis
+    ]
+    tables = _chunk_tables(tuple(g.edges[eid] for eid in support))
     base = list(range(g.vertex_count))
     mask = (1 << _CHUNK) - 1
     counts: Dict[int, int] = {}
     first: Dict[int, int] = {}
-    for bits in sets:
+    for bits in _counter_order(packed):
         parent = base[:]
         n1 = 0
         rest = bits
@@ -179,7 +198,13 @@ def betti_profile(
             counts[n1] = 1
             first[n1] = bits
     width = g.edge_count
-    return {m: (counts[m], EdgeSubset(first[m], width)) for m in sorted(counts)}
+
+    def unpacked(bits: int) -> EdgeSubset:
+        return EdgeSubset(
+            sum(1 << eid for i, eid in enumerate(support) if bits >> i & 1), width
+        )
+
+    return {m: (counts[m], unpacked(first[m])) for m in sorted(counts)}
 
 
 def cyclic_betti_set(g: Multigraph, cap: int = ENUMERATION_CAP) -> frozenset:

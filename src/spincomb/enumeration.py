@@ -5,6 +5,19 @@ Canonical forms are computed per connected component: vertices are first
 partitioned by iterated degree refinement, then the lexicographically
 minimal relabeling is found by brute force over partition-respecting
 bijections.  Valid for components with at most 8 vertices.
+
+Connected classes grow one edge at a time from the single loop and the
+single edge.  When only superstable classes with at most D edges are
+wanted, a class with delta edges is dropped before canonicalization once
+its valency deficit (see :func:`_deficit`) exceeds 2 * (D - delta): one
+more edge lowers the deficit by at most 2, so it could no longer reach 0.
+Nothing superstable is lost.  Every connected graph H with at least two
+edges loses one edge, and stays connected, by dropping a non-bridge edge or
+a pendant edge with its leaf, and that raises the deficit by at most 2; so
+each superstable class keeps a chain of unpruned ancestors, none with more
+vertices than the class.  A superstable class with delta edges and nu
+vertices has 2 * delta >= 3 * nu, so up to 12 edges neither it nor its
+ancestors meet the 8-vertex cap.
 """
 
 from __future__ import annotations
@@ -12,11 +25,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import TooLargeError
 from .graphs import Multigraph, connected_components, separating_edges
-from .transforms import Verdict, check_theorem2, check_theorem3, is_superstable
+from .transforms import Verdict, check_theorems, is_superstable
 
 Edge = Tuple[int, int]
 Key = Tuple[Edge, ...]
@@ -120,13 +133,18 @@ def canonical_form(g: Multigraph) -> CanonicalForm:
         sub_edges = [(remap[a], remap[b]) for a, b in g.edges if a in vs]
         key = _canonical_connected(len(block), sub_edges)
         pieces.append((len(block), len(sub_edges), key))
-    pieces.sort()
+    return CanonicalForm(_join(pieces))
+
+
+def _join(pieces: List[Tuple[int, int, Key]]) -> Key:
+    """Canonical keys of components, given as (vertex count, edge count,
+    key), in that order and concatenated with vertex offsets."""
     combined: List[Edge] = []
     offset = 0
-    for nverts, _, key in pieces:
+    for nverts, _, key in sorted(pieces):
         combined.extend((a + offset, b + offset) for a, b in key)
         offset += nverts
-    return CanonicalForm(tuple(combined))
+    return tuple(combined)
 
 
 def _graph_from_key(key: Key) -> Multigraph:
@@ -134,7 +152,39 @@ def _graph_from_key(key: Key) -> Multigraph:
     return Multigraph(nverts, tuple(key))
 
 
-# Connected isomorphism classes by edge count, grown by edge augmentation.
+def _deficit(n: int, edges: Key) -> int:
+    """Valency deficit sum_v max(0, 3 - val(v)): 0 exactly on superstable
+    connected graphs, the single loop counting 0 as well."""
+    if edges == ((0, 0),):
+        return 0
+    val = [0] * n
+    for a, b in edges:
+        val[a] += 1
+        val[b] += 1
+    return sum(3 - d for d in val if d < 3)
+
+
+def _grow(level: Iterable[Key], budget: Optional[int]) -> Dict[Key, None]:
+    """Canonical keys of the connected graphs one edge larger than a class of
+    ``level``: an edge between two vertices, a loop, or a pendant edge to a
+    new vertex.  A child whose deficit exceeds ``budget`` (None: no budget)
+    is dropped before it is canonicalized."""
+    nxt: Dict[Key, None] = {}
+    for key in level:
+        n = _graph_from_key(key).vertex_count
+        children = []
+        for u in range(n):
+            for v in range(u, n):
+                children.append((n, key + ((u, v),)))
+            if n < MAX_COMPONENT_VERTICES:
+                children.append((n + 1, key + ((u, n),)))
+        for cn, child in children:
+            if budget is None or _deficit(cn, child) <= budget:
+                nxt.setdefault(_canonical_connected(cn, list(child)), None)
+    return nxt
+
+
+# All connected classes by edge count, grown without a deficit budget.
 _LEVELS: Dict[int, Dict[Key, None]] = {
     1: {((0, 0),): None, ((0, 1),): None}
 }
@@ -143,31 +193,26 @@ _LEVELS: Dict[int, Dict[Key, None]] = {
 def _connected_level(delta: int) -> Dict[Key, None]:
     top = max(_LEVELS)
     while top < delta:
-        nxt: Dict[Key, None] = {}
-        for key in _LEVELS[top]:
-            g = _graph_from_key(key)
-            n = g.vertex_count
-            children = []
-            for u in range(n):
-                for v in range(u, n):
-                    children.append(g.edges + ((u, v),))
-                if n < MAX_COMPONENT_VERTICES:
-                    children.append(g.edges + ((u, n),))
-            for child in children:
-                ckey = _canonical_connected(
-                    1 + max(max(a, b) for a, b in child), list(child)
-                )
-                nxt.setdefault(ckey, None)
+        _LEVELS[top + 1] = _grow(_LEVELS[top], None)
         top += 1
-        _LEVELS[top] = nxt
     return _LEVELS[delta]
 
 
-def _connected_classes(max_edges: int) -> List[Multigraph]:
-    out = []
-    for delta in range(1, max_edges + 1):
-        out.extend(_graph_from_key(k) for k in _connected_level(delta))
-    return out
+def _connected_classes(max_edges: int, superstable: bool) -> List[Multigraph]:
+    """Connected classes with at most max_edges edges; with ``superstable``,
+    a superset of the superstable ones, grown under the deficit budget
+    2 * (max_edges - delta) and not cached, as it depends on max_edges."""
+    if superstable:
+        levels = [{
+            k: None
+            for k in _LEVELS[1]
+            if _deficit(_graph_from_key(k).vertex_count, k) <= 2 * (max_edges - 1)
+        }]
+        for delta in range(2, max_edges + 1):
+            levels.append(_grow(levels[-1], 2 * (max_edges - delta)))
+    else:
+        levels = [_connected_level(delta) for delta in range(1, max_edges + 1)]
+    return [_graph_from_key(k) for level in levels for k in level]
 
 
 def enumerate_multigraphs(
@@ -180,27 +225,32 @@ def enumerate_multigraphs(
     """One representative per isomorphism class with at most max_edges edges.
 
     Components are limited to 8 vertices each (the canonical-form cap), so
-    with max_edges above 7 some tree-heavy classes fall outside the range;
-    every superstable or bridgeless class is covered.  Deterministic order:
-    (vertex count, edge count, canonical key).
+    with max_edges above 7 some tree-heavy classes fall outside the range.
+    Every superstable class is covered, as a superstable component with
+    delta edges has at most 2 * delta / 3 vertices, and so is every
+    bridgeless class with at most 8 edges (at most delta vertices).  With
+    ``superstable`` only the classes that can still become superstable
+    within max_edges are generated.
+    Deterministic order: (vertex count, edge count, canonical key).
     """
     if not 1 <= max_edges <= MAX_ENUM_EDGES:
         raise TooLargeError(f"max_edges must be in 1..{MAX_ENUM_EDGES}")
-    comps = _connected_classes(max_edges)
+    comps = _connected_classes(max_edges, superstable)
     if superstable:
         comps = [c for c in comps if is_superstable(c)]
     if bridgeless:
         comps = [c for c in comps if not separating_edges(c)]
 
-    results: List[Multigraph] = []
+    # each result as the list of its components, all in canonical form
+    results: List[List[Multigraph]] = []
     if connected:
-        results = comps
+        results = [[c] for c in comps]
     else:
         comps = sorted(comps, key=lambda c: (c.edge_count, c.edges))
 
         def unions(start: int, budget: int, acc: List[Multigraph]):
             if acc:
-                results.append(_disjoint_union(acc))
+                results.append(acc)
             for i in range(start, len(comps)):
                 c = comps[i]
                 if c.edge_count > budget:
@@ -208,10 +258,20 @@ def enumerate_multigraphs(
                 unions(i, budget - c.edge_count, acc + [c])
 
         unions(0, max_edges, [])
-    results.sort(
-        key=lambda g: (g.vertex_count, g.edge_count, canonical_form(g).canonical_key)
+    results.sort(key=_sort_key)
+    for parts in results:
+        yield _disjoint_union(parts)
+
+
+def _sort_key(parts: List[Multigraph]) -> Tuple[int, int, Key]:
+    """(vertex count, edge count, canonical key) of the disjoint union of
+    components already in canonical form, with no relabeling."""
+    pieces = [(c.vertex_count, c.edge_count, c.edges) for c in parts]
+    return (
+        sum(p[0] for p in pieces),
+        sum(p[1] for p in pieces),
+        _join(pieces),
     )
-    yield from results
 
 
 def _disjoint_union(graphs: List[Multigraph]) -> Multigraph:
@@ -223,35 +283,44 @@ def _disjoint_union(graphs: List[Multigraph]) -> Multigraph:
     return Multigraph(offset, tuple(edges))
 
 
-def _sweep(max_edges: int, checker) -> SweepReport:
+def sweep_theorems(max_edges: int) -> Tuple[SweepReport, SweepReport]:
+    """Check both classifications on every superstable class in one pass.
+
+    Each class gets one betti_profile and one classify, shared by the
+    theorem 2 and theorem 3 verdicts.  Both reports carry the elapsed time
+    of the whole pass, enumeration included.
+    """
     if not 1 <= max_edges <= MAX_SWEEP_EDGES:
         raise TooLargeError(f"max_edges must be in 1..{MAX_SWEEP_EDGES}")
     start = time.perf_counter()
-    examined = exercised = vacuous = 0
-    violations: List[Tuple[Key, Verdict]] = []
+    examined = 0
+    exercised = [0, 0]
+    violations: Tuple[List[Tuple[Key, Verdict]], ...] = ([], [])
     for g in enumerate_multigraphs(max_edges, superstable=True):
-        verdict = checker(g)
         examined += 1
-        if verdict.hypothesis_exercised:
-            exercised += 1
-        else:
-            vacuous += 1
-        if not verdict.holds:
-            violations.append((canonical_form(g).canonical_key, verdict))
-    return SweepReport(
-        graphs_examined=examined,
-        hypothesis_exercised=exercised,
-        vacuous=vacuous,
-        violations=tuple(violations),
-        elapsed=time.perf_counter() - start,
+        for i, verdict in enumerate(check_theorems(g)):
+            if verdict.hypothesis_exercised:
+                exercised[i] += 1
+            if not verdict.holds:
+                violations[i].append((canonical_form(g).canonical_key, verdict))
+    elapsed = time.perf_counter() - start
+    return tuple(
+        SweepReport(
+            graphs_examined=examined,
+            hypothesis_exercised=exercised[i],
+            vacuous=examined - exercised[i],
+            violations=tuple(violations[i]),
+            elapsed=elapsed,
+        )
+        for i in range(2)
     )
 
 
 def sweep_theorem2(max_edges: int) -> SweepReport:
     """Check the omit-2 classification on every superstable class."""
-    return _sweep(max_edges, check_theorem2)
+    return sweep_theorems(max_edges)[0]
 
 
 def sweep_theorem3(max_edges: int) -> SweepReport:
     """Check the omit-3 / exceed-3 classification on every superstable class."""
-    return _sweep(max_edges, check_theorem3)
+    return sweep_theorems(max_edges)[1]

@@ -259,3 +259,12 @@ def check_theorem3(g: Multigraph) -> Verdict:
     if not is_superstable(g):
         raise NotSuperstableError("theorem check needs a superstable graph")
     return _theorem3_verdict(g, betti_profile(g), classify(g))
+
+
+def check_theorems(g: Multigraph) -> Tuple[Verdict, Verdict]:
+    """The verdicts of :func:`check_theorem2` and :func:`check_theorem3`,
+    from one betti_profile and one classify of g."""
+    if not is_superstable(g):
+        raise NotSuperstableError("theorem check needs a superstable graph")
+    profile, cls = betti_profile(g), classify(g)
+    return _theorem2_verdict(g, profile, cls), _theorem3_verdict(g, profile, cls)

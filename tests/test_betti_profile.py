@@ -36,6 +36,7 @@ from spincomb import (
     cyclic_sets,
     even_set_supports,
     even_sets,
+    separating_edges,
     spin_report,
     superstable_reduction,
     support_description,
@@ -44,6 +45,13 @@ from spincomb.errors import CapExceededError, PreconditionFailedError, Vanishing
 
 K4_DOUBLED = build_graph(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 K33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+# K4 and the fat triangle joined by a path of three bridges, listed between
+# them: the edges on cycles are 0-5 and 9-14, across chunk boundaries
+DUMBBELL = build_graph(
+    9,
+    [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)]
+    + [(6, 7), (6, 7), (6, 8), (6, 8), (7, 8), (7, 8)],
+)
 
 
 def _oracle_profile(g):
@@ -62,6 +70,7 @@ def _oracle_profile(g):
 def _corpus():
     rng = random.Random(31)
     graphs = [loop_graph(), split_graph(7), tetrahedron(), fat_triangle(), K4_DOUBLED, K33]
+    graphs += [DUMBBELL]
     # b1 = 0: trees and forests, with edge counts on both sides of a chunk
     graphs += [path_graph(n + 1) for n in (5, 6, 7, 12, 13)]
     graphs += [random_tree(rng, max_vertices=8) for _ in range(5)]
@@ -69,6 +78,17 @@ def _corpus():
         graphs += [random_multigraph(rng, edge_count) for _ in range(12)]
     graphs += [random_graph(rng, max_b1=6) for _ in range(20)]
     return graphs
+
+
+def _bridge_before_cycle_edge(g):
+    """An edge on no cycle comes before an edge on one, so the cycle-space
+    support is not a prefix of the edges."""
+    bridges = set(separating_edges(g).indices())
+    return any(
+        e in bridges and f not in bridges
+        for e in range(g.edge_count)
+        for f in range(e + 1, g.edge_count)
+    )
 
 
 class TestBettiProfile:
@@ -88,6 +108,7 @@ class TestBettiProfile:
         assert any(len(set(g.edges)) < g.edge_count for g in graphs)  # parallels
         assert any(len(cycle_basis(g).basis_vectors) == 0 for g in graphs)
         assert any(len(connected_components(g)) > 1 for g in graphs)
+        assert any(_bridge_before_cycle_edge(g) for g in graphs)
 
     def test_empty_graph(self):
         profile = betti_profile(Multigraph(0, ()))

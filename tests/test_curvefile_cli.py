@@ -219,6 +219,16 @@ class TestCli:
         assert main(["analyze", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_spin_count_past_the_int_digit_limit(self, flags, tmp_path, capsys):
+        # genus 9001: the length 2^18002 has 5,420 digits, past the default 4,300
+        path = tmp_path / "huge.curve"
+        path.write_text("v a genus=9000\ne n a a\n")
+        assert main(flags + ["spin", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_cap_exceeded_message(self, tmp_path, capsys):
         lines = ["v a genus=0", "v b genus=0"]
         lines += [f"e n{i} a b" for i in range(33)]

@@ -12,15 +12,22 @@ from spincomb import (
     enumerate_multigraphs,
     is_superstable,
     separating_edges,
+    check_theorem2,
+    check_theorem3,
     sweep_theorem2,
     sweep_theorem3,
+    sweep_theorems,
 )
+from spincomb import enumeration
 from spincomb.errors import TooLargeError
+from spincomb.graphs import Multigraph
 
 from conftest import (
+    bridge_oracle,
     count_components,
     fat_triangle,
     loop_graph,
+    random_connected_graph,
     random_graph,
     relabeled,
     split_graph,
@@ -164,6 +171,113 @@ class TestEnumerate:
         got = list(enumerate_multigraphs(2, connected=False))
         assert any(len(connected_components(g)) == 2 for g in got)
 
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_sort_key_is_the_canonical_key(self, connected):
+        flags = itertools.product([False, True], repeat=2)
+        for superstable, bridgeless in flags:
+            got = list(
+                enumerate_multigraphs(
+                    6,
+                    connected=connected,
+                    superstable=superstable,
+                    bridgeless=bridgeless,
+                )
+            )
+            for g in got:
+                # the components of g are contiguous blocks in canonical form
+                parts = []
+                for block in connected_components(g):
+                    lo = block[0]
+                    edges = tuple(
+                        (a - lo, b - lo) for a, b in g.edges if a in block
+                    )
+                    parts.append(Multigraph(len(block), edges))
+                assert enumeration._sort_key(parts) == (
+                    g.vertex_count,
+                    g.edge_count,
+                    canonical_form(g).canonical_key,
+                )
+            keys = [
+                (g.vertex_count, g.edge_count, canonical_form(g).canonical_key)
+                for g in got
+            ]
+            assert keys == sorted(set(keys))
+
+
+def _deficit_oracle(g):
+    val = [0] * g.vertex_count
+    for a, b in g.edges:
+        val[a] += 1
+        val[b] += 1
+    if g.edges == ((0, 0),):
+        return 0
+    return sum(max(0, 3 - d) for d in val)
+
+
+class TestDeficitPruning:
+    @pytest.mark.parametrize("max_edges", range(1, 9))
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_pruned_equals_filtered_full_enumeration(self, max_edges, connected):
+        pruned = list(
+            enumerate_multigraphs(max_edges, connected=connected, superstable=True)
+        )
+        full = [
+            g
+            for g in enumerate_multigraphs(max_edges, connected=connected)
+            if is_superstable(g)
+        ]
+        assert pruned == full
+
+    def test_pruned_levels_stay_out_of_the_cache(self):
+        before = {d: dict(level) for d, level in enumeration._LEVELS.items()}
+        list(enumerate_multigraphs(7, superstable=True))
+        assert enumeration._LEVELS == before
+
+    def test_deficit(self):
+        for g in (loop_graph(), tetrahedron(), fat_triangle(), split_graph(3)):
+            assert enumeration._deficit(g.vertex_count, g.edges) == 0
+        assert enumeration._deficit(2, ((0, 1),)) == 4
+        assert enumeration._deficit(1, ((0, 0), (0, 0))) == 0
+        assert enumeration._deficit(2, ((0, 0), (0, 1))) == 2
+
+    def test_parent_lemma(self, rng):
+        """Every connected graph with at least two edges has a connected
+        parent, one edge smaller, with at most as many vertices and a deficit
+        at most 2 larger, which the augmentation step grows back into it."""
+        checked = 0
+        while checked < 300:
+            g = random_connected_graph(rng, max_b1=4, max_vertices=6)
+            if g.edge_count < 2:
+                continue
+            checked += 1
+            assert enumeration._deficit(g.vertex_count, g.edges) == _deficit_oracle(g)
+            val = [0] * g.vertex_count
+            for a, b in g.edges:
+                val[a] += 1
+                val[b] += 1
+            bridges = set(bridge_oracle(g))
+            parents = []
+            for eid, (a, b) in enumerate(g.edges):
+                rest = g.edges[:eid] + g.edges[eid + 1:]
+                if eid not in bridges:
+                    parents.append(Multigraph(g.vertex_count, rest))
+                elif 1 in (val[a], val[b]):
+                    leaf = b if val[b] == 1 else a
+                    shift = [v - (v > leaf) for v in range(g.vertex_count)]
+                    edges = tuple((shift[x], shift[y]) for x, y in rest)
+                    parents.append(Multigraph(g.vertex_count - 1, edges))
+            good = [
+                h
+                for h in parents
+                if count_components(h.vertex_count, h.edges) == 1
+                and _deficit_oracle(h) <= _deficit_oracle(g) + 2
+            ]
+            assert good
+            h = good[0]
+            assert h.vertex_count <= g.vertex_count
+            grown = enumeration._grow([canonical_form(h).canonical_key], None)
+            assert canonical_form(g).canonical_key in grown
+
 
 class TestSweeps:
     def test_sweep2_one_edge(self):
@@ -190,3 +304,28 @@ class TestSweeps:
         report = sweep_theorem2(5)
         assert report.hypothesis_exercised + report.vacuous == report.graphs_examined
         assert report.elapsed >= 0.0
+
+    @pytest.mark.parametrize("max_edges", [6, 8])
+    def test_one_pass_equals_separate_sweeps(self, max_edges):
+        """Both reports of the one pass match a sweep per theorem that calls
+        check_theorem2 or check_theorem3 on each class."""
+        classes = list(enumerate_multigraphs(max_edges, superstable=True))
+        reports = sweep_theorems(max_edges)
+        separate = (sweep_theorem2(max_edges), sweep_theorem3(max_edges))
+        for report, alone, check in zip(reports, separate, (check_theorem2, check_theorem3)):
+            verdicts = [check(g) for g in classes]
+            exercised = sum(v.hypothesis_exercised for v in verdicts)
+            violations = tuple(
+                (canonical_form(g).canonical_key, v)
+                for g, v in zip(classes, verdicts)
+                if not v.holds
+            )
+            want = (len(classes), exercised, len(classes) - exercised, violations)
+            for got in (report, alone):
+                assert (
+                    got.graphs_examined,
+                    got.hypothesis_exercised,
+                    got.vacuous,
+                    got.violations,
+                ) == want
+        assert reports[0].elapsed == reports[1].elapsed
