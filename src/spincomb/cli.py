@@ -21,26 +21,31 @@ from .errors import CapExceededError, CurveFileError, GraphError
 from .graphs import betti_number, connected_components, separating_edges, separating_vertices
 from .spin import (
     check_corollary_split,
+    curve_genus,
     even_set_supports,
     is_compact_type,
     spin_report,
 )
-from .transforms import (
-    Verdict,
-    check_theorems,
-    is_fat_triangle,
-    is_loop_graph,
-    is_split,
-    is_superstable,
-    is_tetrahedron,
-    superstable_reduction,
-)
+from .transforms import Verdict, check_theorems, classify, is_superstable, superstable_reduction
 
 
 def _pow2(n: int) -> str:
     if n >= 2 and n & (n - 1) == 0:
         return f"{n} (2^{n.bit_length() - 1})"
     return str(n)
+
+
+def _refuse_unprintable(exponent: int, what: str) -> None:
+    """Raise ValueError, before 2^exponent is built, if printing it would
+    pass the interpreter's int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^k has more than `limit` digits exactly when 2^k > 10^limit: never
+    # for k <= 3 limit (8^limit), always for k >= 4 limit (16^limit), and in
+    # between 10^limit costs no more than printing 2^k would
+    if limit and exponent > 3 * limit and (
+        exponent >= 4 * limit or exponent >= (10**limit).bit_length()
+    ):
+        raise ValueError(f"{what} 2^{exponent} has more than {limit} digits, too many to print")
 
 
 def _load(path: str) -> CurveFile:
@@ -91,6 +96,7 @@ def _render_analyze(data: dict) -> List[str]:
 
 def cmd_spin(cf: CurveFile) -> dict:
     x = cf.to_dual_graph()
+    _refuse_unprintable(2 * curve_genus(x), "the length")
     report = spin_report(x)
     return {
         "b": report.b,
@@ -126,12 +132,13 @@ def _render_spin(data: dict) -> List[str]:
 def cmd_classify(cf: CurveFile) -> dict:
     x = cf.to_dual_graph()
     g = x.graph
+    cls = classify(g)  # the four classes have 2, 1, 4 and 3 vertices
     data = {
         "superstable": is_superstable(g),
-        "split": is_split(g),
-        "loop": is_loop_graph(g),
-        "tetrahedron": is_tetrahedron(g),
-        "fat_triangle": is_fat_triangle(g),
+        "split": cls == "split",
+        "loop": cls == "loop",
+        "tetrahedron": cls == "tetrahedron",
+        "fat_triangle": cls == "fat_triangle",
         "via_reduction": False,
         "theorem2": None,
         "theorem3": None,
@@ -182,6 +189,8 @@ def _render_classify(data: dict) -> List[str]:
 
 def cmd_evensets(cf: CurveFile) -> dict:
     x = cf.to_dual_graph()
+    # every point count is 2^(2p + b1(D)), the empty set's 2^(2p)
+    _refuse_unprintable(2 * sum(x.genus_marks), "the point count")
     sets = []
     for d in even_set_supports(x):
         sets.append(

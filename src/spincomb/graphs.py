@@ -172,51 +172,27 @@ def betti_number(g: Multigraph) -> int:
 
 def separating_edges(g: Multigraph) -> EdgeSubset:
     """Bridges, found by lowpoint DFS.  Loops and parallel pairs never qualify."""
-    n = g.vertex_count
-    inc = g.incidence()
-    pre = [-1] * n
-    low = [0] * n
-    bits = 0
-    counter = 0
-
-    # Iterative DFS; the edge id used to enter a vertex is skipped exactly
-    # once so that a parallel copy still acts as a back edge.
-    for root in range(n):
-        if pre[root] != -1:
-            continue
-        stack: List[Tuple[int, int, int]] = [(root, -1, 0)]
-        pre[root] = low[root] = counter
-        counter += 1
-        while stack:
-            u, entry_eid, i = stack.pop()
-            if i < len(inc[u]):
-                stack.append((u, entry_eid, i + 1))
-                eid, w = inc[u][i]
-                if w == u or eid == entry_eid:
-                    continue
-                if pre[w] == -1:
-                    pre[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, eid, 0))
-                else:
-                    low[u] = min(low[u], pre[w])
-            elif entry_eid != -1:
-                a, b = g.edges[entry_eid]
-                parent = a if pre[a] < pre[b] else b
-                low[parent] = min(low[parent], low[u])
-                if low[u] > pre[parent]:
-                    bits |= 1 << entry_eid
-    return EdgeSubset(bits, g.edge_count)
+    return EdgeSubset(_lowpoint_dfs(g)[0], g.edge_count)
 
 
 def separating_vertices(g: Multigraph) -> List[int]:
     """Articulation vertices; deletion removes the vertex and incident edges."""
+    return _lowpoint_dfs(g)[1]
+
+
+def _lowpoint_dfs(g: Multigraph) -> Tuple[int, List[int]]:
+    """Bridge bits and sorted cut vertices from one lowpoint DFS
+    (Hopcroft & Tarjan, CACM 1973)."""
     n = g.vertex_count
     inc = g.incidence()
     pre = [-1] * n
     low = [0] * n
-    result = set()
+    bridges = 0
+    cuts = set()
     counter = 0
+
+    # Iterative DFS; the edge id used to enter a vertex is skipped exactly
+    # once so that a parallel copy still acts as a back edge.
     for root in range(n):
         if pre[root] != -1:
             continue
@@ -243,11 +219,13 @@ def separating_vertices(g: Multigraph) -> List[int]:
                 a, b = g.edges[entry_eid]
                 parent = a if pre[a] < pre[b] else b
                 low[parent] = min(low[parent], low[u])
+                if low[u] > pre[parent]:
+                    bridges |= 1 << entry_eid
                 if parent != root and low[u] >= pre[parent]:
-                    result.add(parent)
+                    cuts.add(parent)
         if root_children >= 2:
-            result.add(root)
-    return sorted(result)
+            cuts.add(root)
+    return bridges, sorted(cuts)
 
 
 def induced_subgraph(g: Multigraph, s: EdgeSubset) -> Multigraph:

@@ -26,9 +26,7 @@ from .transforms import (
     _theorem2_verdict,
     _theorem3_verdict,
     classify,
-    is_split,
     is_superstable,
-    is_tetrahedron,
 )
 
 
@@ -181,7 +179,7 @@ def check_corollary_split(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Verd
     cls = classify(x.graph)
     if not exercised:
         return Verdict(True, cls)
-    ok = is_split(x.graph) or (g == 3 and is_tetrahedron(x.graph))
+    ok = cls == "split" or (g == 3 and cls == "tetrahedron")
     return Verdict(ok, cls, hypothesis_exercised=True)
 
 
@@ -197,8 +195,8 @@ def check_corollary_final(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Verd
         raise PreconditionFailedError("dual graph must be superstable")
     profile = betti_profile(x.graph, cap)
     cls = classify(x.graph)
-    part_i = _theorem2_verdict(x.graph, profile, cls)
-    part_ii = _theorem3_verdict(x.graph, profile, cls)
+    part_i = _theorem2_verdict(profile, cls)
+    part_ii = _theorem3_verdict(profile, cls)
     return Verdict(
         part_i.holds and part_ii.holds,
         cls,

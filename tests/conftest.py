@@ -8,11 +8,12 @@ explicit edge lists, span membership by Gaussian elimination.
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from typing import List, Sequence, Tuple
 
 import pytest
 
-from spincomb import Multigraph, build_graph
+from spincomb import Multigraph, build_graph, valency
 
 Edge = Tuple[int, int]
 
@@ -217,6 +218,24 @@ def dict_union_find_betti(g: Multigraph, bits: int) -> int:
             parent[ra] = rb
             n_comp -= 1
     return n_edges - len(parent) + n_comp
+
+
+def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
+    """Brute-force vertex bijection; intended for small graphs only."""
+    if g.vertex_count != h.vertex_count or g.edge_count != h.edge_count:
+        return False
+    if sorted(valency(g, v) for v in range(g.vertex_count)) != sorted(
+        valency(h, v) for v in range(h.vertex_count)
+    ):
+        return False
+    target = sorted(h.edges)
+    for perm in permutations(range(g.vertex_count)):
+        mapped = sorted(
+            (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges
+        )
+        if mapped == target:
+            return True
+    return False
 
 
 def counter_order_oracle(basis: Sequence[int]) -> List[int]:

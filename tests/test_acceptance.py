@@ -14,7 +14,6 @@ import pytest
 from spincomb import (
     CurveDualGraph,
     EdgeSubset,
-    are_isomorphic,
     betti_number,
     build_graph,
     check_theorem2,
@@ -38,6 +37,7 @@ from spincomb import (
 )
 
 from conftest import (
+    are_isomorphic,
     even_subset_bits_oracle,
     fat_triangle,
     loop_graph,

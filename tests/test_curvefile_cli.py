@@ -1,18 +1,23 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spincomb
 from spincomb import (
-    are_isomorphic,
     format_curve_file,
     parse_curve,
     parse_curve_file,
     spin_report,
 )
-from spincomb.cli import main
+from spincomb.cli import _refuse_unprintable, main
 from spincomb.errors import DuplicateNameError, ParseError, UnknownVertexError
 
-from conftest import fat_triangle, random_connected_graph
+from conftest import are_isomorphic, fat_triangle, random_connected_graph
 
 SPLIT_G3 = """\
 # split curve of genus 3: two smooth components glued at four nodes
@@ -179,6 +184,23 @@ class TestCli:
         assert "split:         yes" in out
         assert "theorem 2: holds (exercised, classification=split)" in out
 
+    @pytest.mark.parametrize(
+        "curve, named",
+        [
+            ("split_g3", "split"),
+            ("loop_g4", "loop"),
+            ("tetrahedron", "tetrahedron"),
+            ("fat_triangle", "fat_triangle"),
+            ("compact_type_g4", None),
+        ],
+    )
+    def test_classify_flags_name_one_class(self, curve, named, capsys):
+        demo = Path(__file__).parent.parent / f"demos/curves/{curve}.curve"
+        assert main(["--json", "classify", str(demo)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for cls in ("split", "loop", "tetrahedron", "fat_triangle"):
+            assert data[cls] == (cls == named)
+
     def test_classify_non_superstable_reduces(self, tmp_path, capsys):
         text = (
             "v a genus=0\nv b genus=0\nv c genus=0\n"
@@ -228,6 +250,62 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["spin", "evensets"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_huge_genus_refused_before_allocating(self, command, flags, tmp_path):
+        # 2^(2 * 10^11) would take 25 GB; the child may map 1 GiB, so an
+        # attempt to build it dies with MemoryError instead of swapping
+        path = tmp_path / "huge.curve"
+        path.write_text("v a genus=100000000000\nv b genus=0\ne n1 a b\ne n2 a b\n")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(spincomb.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from spincomb.cli import main; sys.exit(main())"]
+            + flags + [command, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("limit", [640, 4300, 10000])
+    def test_refusal_matches_the_int_to_str_limit(self, limit):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            last = (10**limit).bit_length() - 1  # 2^last is the last power that prints
+            _refuse_unprintable(last, "x")
+            str(1 << last)
+            with pytest.raises(ValueError):
+                _refuse_unprintable(last + 1, "x")
+            with pytest.raises(ValueError):
+                str(1 << (last + 1))
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("command", ["spin", "evensets"])
+    def test_genus_at_the_digit_limit(self, command, tmp_path, capsys):
+        # a tree curve of genus p: one even set, length and point count 2^(2p);
+        # at 640 digits 2^2126 prints and 2^2128 does not
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for p, status in ((1063, 0), (1064, 1)):
+                path = tmp_path / f"tree{p}.curve"
+                path.write_text(f"v a genus={p}\nv b genus=0\ne n a b\n")
+                assert main([command, str(path)]) == status
+                captured = capsys.readouterr()
+                assert ("2^" + str(2 * p)) in (captured.out if status == 0 else captured.err)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_cap_exceeded_message(self, tmp_path, capsys):
         lines = ["v a genus=0", "v b genus=0"]

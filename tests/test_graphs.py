@@ -23,6 +23,7 @@ from conftest import (
     loop_graph,
     path_graph,
     random_graph,
+    random_multigraph,
     split_graph,
     tetrahedron,
 )
@@ -128,6 +129,9 @@ class TestSeparatingEdges:
         for _ in range(60):
             g = random_graph(rng)
             assert list(separating_edges(g).indices()) == bridge_oracle(g)
+        for _ in range(200):
+            g = random_multigraph(rng, rng.randint(1, 12))
+            assert list(separating_edges(g).indices()) == bridge_oracle(g)
 
     def test_deleting_bridge_raises_count_by_one(self, rng):
         for _ in range(30):
@@ -162,6 +166,9 @@ class TestSeparatingVertices:
     def test_against_deletion_oracle(self, rng):
         for _ in range(60):
             g = random_graph(rng)
+            assert separating_vertices(g) == articulation_oracle(g)
+        for _ in range(200):
+            g = random_multigraph(rng, rng.randint(1, 12))
             assert separating_vertices(g) == articulation_oracle(g)
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from spincomb import (
-    are_isomorphic,
+    Multigraph,
     betti_number,
     build_graph,
     check_theorem2,
@@ -32,6 +32,7 @@ from spincomb.errors import (
 )
 
 from conftest import (
+    are_isomorphic,
     fat_triangle,
     loop_graph,
     path_graph,
@@ -151,6 +152,30 @@ class TestRecognizers:
         assert not is_tetrahedron(g)
         assert not is_fat_triangle(g)
         assert not is_loop_graph(g)
+
+    def test_against_permutation_oracle(self, rng):
+        named = (
+            (is_loop_graph, loop_graph()),
+            (is_tetrahedron, tetrahedron()),
+            (is_fat_triangle, fat_triangle()),
+        )
+        classes = list(enumerate_multigraphs(7, connected=True))
+        classes += enumerate_multigraphs(6)
+        hits = [0] * len(named)
+        for g in classes:
+            for _ in range(3):
+                perm = list(range(g.vertex_count))
+                rng.shuffle(perm)
+                h = relabeled(g, perm)
+                for i, (recognizer, target) in enumerate(named):
+                    found = recognizer(h)
+                    assert found == are_isomorphic(h, target)
+                    hits[i] += found
+        assert all(hits)
+        # one isolated vertex more keeps the edge list but breaks the match
+        for recognizer, target in named:
+            padded = Multigraph(target.vertex_count + 1, target.edges)
+            assert not recognizer(padded) and not are_isomorphic(padded, target)
 
     def test_classify(self):
         assert classify(split_graph(3)) == "split"
