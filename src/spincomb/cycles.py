@@ -20,6 +20,7 @@ from .graphs import (
     Multigraph,
     ZeroChain,
     _closing_edges,
+    _valencies,
     connected_components,
     induced_subgraph,
 )
@@ -226,11 +227,7 @@ def is_circuit(g: Multigraph, s: EdgeSubset) -> bool:
     sub = induced_subgraph(g, s)
     if len(connected_components(sub)) != 1:
         return False
-    val = [0] * sub.vertex_count
-    for a, b in sub.edges:
-        val[a] += 1
-        val[b] += 1
-    return all(x == 2 for x in val)
+    return all(x == 2 for x in _valencies(sub)[0])
 
 
 def circuit_decomposition(g: Multigraph, s: EdgeSubset) -> List[EdgeSubset]:

@@ -6,26 +6,27 @@ partitioned by iterated degree refinement, then the lexicographically
 minimal relabeling is found by brute force over partition-respecting
 bijections.  Valid for components with at most 8 vertices.
 
-Connected classes grow one edge at a time from the single loop and the
-single edge.  When only superstable classes with at most D edges are
-wanted, a class with delta edges is dropped before canonicalization once
-its valency deficit (see :func:`_deficit`) exceeds 2 * (D - delta): one
-more edge lowers the deficit by at most 2, so it could no longer reach 0.
-Nothing superstable is lost.  Every connected graph H with at least two
-edges loses one edge, and stays connected, by dropping a non-bridge edge or
-a pendant edge with its leaf, and that raises the deficit by at most 2; so
-each superstable class keeps a chain of unpruned ancestors, none with more
-vertices than the class.  A superstable class with delta edges and nu
-vertices has 2 * delta >= 3 * nu, so up to 12 edges neither it nor its
-ancestors meet the 8-vertex cap.
+Connected classes grow one edge at a time from the single vertex, and each
+build is cached per (max_edges, superstable).  When only superstable
+classes with at most D edges are wanted, a class with delta edges is
+dropped before canonicalization once its valency deficit (see
+:func:`_deficit`) exceeds 2 * (D - delta): one more edge lowers the deficit
+by at most 2, so it could no longer reach 0.  Nothing superstable is lost.
+Every connected graph H with at least two edges loses one edge, and stays
+connected, by dropping a non-bridge edge or a pendant edge with its leaf,
+and that raises the deficit by at most 2; so each superstable class keeps a
+chain of unpruned ancestors, none with more vertices than the class.  A
+superstable class with delta edges and nu vertices has 2 * delta >= 3 * nu,
+so up to 12 edges neither it nor its ancestors meet the 8-vertex cap.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import TooLargeError
 from .graphs import Multigraph, connected_components, separating_edges
@@ -80,12 +81,12 @@ def _refine_classes(n: int, edges: List[Edge]) -> List[List[int]]:
     n_classes = len(set(colors))
     while True:
         sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in nb[v]))) for v in range(n)
+            (colors[v], tuple(sorted([colors[w] for w in nb[v]]))) for v in range(n)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [rank[s] for s in sigs]
-        k = len(set(colors))
-        if k == n_classes:
+        k = len(rank)
+        if k == n_classes or k == n:  # stable, or every class a single vertex
             break
         n_classes = k
     grouped: Dict[int, List[int]] = {}
@@ -99,8 +100,7 @@ def _canonical_connected(n: int, edges: List[Edge]) -> Key:
     if n > MAX_COMPONENT_VERTICES:
         raise TooLargeError(f"component has {n} vertices, cap is 8")
     classes = _refine_classes(n, edges)
-    best: Key = ()
-    first = True
+    best: Optional[Key] = None
     for combo in product(*(permutations(cls) for cls in classes)):
         label = [0] * n
         i = 0
@@ -109,14 +109,13 @@ def _canonical_connected(n: int, edges: List[Edge]) -> Key:
                 label[old] = i
                 i += 1
         key = tuple(
-            sorted(
+            sorted([
                 (label[a], label[b]) if label[a] <= label[b] else (label[b], label[a])
                 for a, b in edges
-            )
+            ])
         )
-        if first or key < best:
+        if best is None or key < best:
             best = key
-            first = False
     return best
 
 
@@ -147,11 +146,6 @@ def _join(pieces: List[Tuple[int, int, Key]]) -> Key:
     return tuple(combined)
 
 
-def _graph_from_key(key: Key) -> Multigraph:
-    nverts = 1 + max((max(a, b) for a, b in key), default=-1)
-    return Multigraph(nverts, tuple(key))
-
-
 def _deficit(n: int, edges: Key) -> int:
     """Valency deficit sum_v max(0, 3 - val(v)): 0 exactly on superstable
     connected graphs, the single loop counting 0 as well."""
@@ -164,14 +158,14 @@ def _deficit(n: int, edges: Key) -> int:
     return sum(3 - d for d in val if d < 3)
 
 
-def _grow(level: Iterable[Key], budget: Optional[int]) -> Dict[Key, None]:
-    """Canonical keys of the connected graphs one edge larger than a class of
-    ``level``: an edge between two vertices, a loop, or a pendant edge to a
-    new vertex.  A child whose deficit exceeds ``budget`` (None: no budget)
-    is dropped before it is canonicalized."""
-    nxt: Dict[Key, None] = {}
-    for key in level:
-        n = _graph_from_key(key).vertex_count
+def _grow(level: Dict[Key, int], budget: Optional[int]) -> Dict[Key, int]:
+    """Canonical keys, with their vertex counts, of the connected graphs one
+    edge larger than a class of ``level`` (key -> vertex count): an edge
+    between two vertices, a loop, or a pendant edge to a new vertex.  A child
+    whose deficit exceeds ``budget`` (None: no budget) is dropped before it
+    is canonicalized."""
+    nxt: Dict[Key, int] = {}
+    for key, n in level.items():
         children = []
         for u in range(n):
             for v in range(u, n):
@@ -180,39 +174,21 @@ def _grow(level: Iterable[Key], budget: Optional[int]) -> Dict[Key, None]:
                 children.append((n + 1, key + ((u, n),)))
         for cn, child in children:
             if budget is None or _deficit(cn, child) <= budget:
-                nxt.setdefault(_canonical_connected(cn, list(child)), None)
+                nxt.setdefault(_canonical_connected(cn, list(child)), cn)
     return nxt
 
 
-# All connected classes by edge count, grown without a deficit budget.
-_LEVELS: Dict[int, Dict[Key, None]] = {
-    1: {((0, 0),): None, ((0, 1),): None}
-}
-
-
-def _connected_level(delta: int) -> Dict[Key, None]:
-    top = max(_LEVELS)
-    while top < delta:
-        _LEVELS[top + 1] = _grow(_LEVELS[top], None)
-        top += 1
-    return _LEVELS[delta]
-
-
-def _connected_classes(max_edges: int, superstable: bool) -> List[Multigraph]:
-    """Connected classes with at most max_edges edges; with ``superstable``,
-    a superset of the superstable ones, grown under the deficit budget
-    2 * (max_edges - delta) and not cached, as it depends on max_edges."""
-    if superstable:
-        levels = [{
-            k: None
-            for k in _LEVELS[1]
-            if _deficit(_graph_from_key(k).vertex_count, k) <= 2 * (max_edges - 1)
-        }]
-        for delta in range(2, max_edges + 1):
-            levels.append(_grow(levels[-1], 2 * (max_edges - delta)))
-    else:
-        levels = [_connected_level(delta) for delta in range(1, max_edges + 1)]
-    return [_graph_from_key(k) for level in levels for k in level]
+@functools.cache
+def _connected_classes(max_edges: int, superstable: bool) -> Tuple[Multigraph, ...]:
+    """Connected classes with at most max_edges edges, grown level by level
+    from the single vertex; with ``superstable``, a superset of the
+    superstable ones, grown under the deficit budget 2 * (max_edges - delta)."""
+    level: Dict[Key, int] = {(): 1}
+    classes: List[Multigraph] = []
+    for delta in range(1, max_edges + 1):
+        level = _grow(level, 2 * (max_edges - delta) if superstable else None)
+        classes.extend(Multigraph(n, key) for key, n in level.items())
+    return tuple(classes)
 
 
 def enumerate_multigraphs(
@@ -228,13 +204,21 @@ def enumerate_multigraphs(
     with max_edges above 7 some tree-heavy classes fall outside the range.
     Every superstable class is covered, as a superstable component with
     delta edges has at most 2 * delta / 3 vertices, and so is every
-    bridgeless class with at most 8 edges (at most delta vertices).  With
-    ``superstable`` only the classes that can still become superstable
-    within max_edges are generated.
+    bridgeless class with at most 8 edges (at most delta vertices); a
+    bridgeless request above 8 edges without ``superstable`` is refused.
+    Connected classes grow from the single vertex, one edge at a time, and
+    each build is cached per (max_edges, superstable).  With ``superstable``
+    only the classes that can still become superstable within max_edges are
+    generated.
     Deterministic order: (vertex count, edge count, canonical key).
     """
     if not 1 <= max_edges <= MAX_ENUM_EDGES:
         raise TooLargeError(f"max_edges must be in 1..{MAX_ENUM_EDGES}")
+    if bridgeless and not superstable and max_edges > MAX_COMPONENT_VERTICES:
+        raise TooLargeError(
+            f"bridgeless classes are complete up to {MAX_COMPONENT_VERTICES} "
+            "edges only, unless superstable"
+        )
     comps = _connected_classes(max_edges, superstable)
     if superstable:
         comps = [c for c in comps if is_superstable(c)]

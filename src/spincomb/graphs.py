@@ -143,6 +143,18 @@ def valency(g: Multigraph, v: int) -> int:
     return total
 
 
+def _valencies(g: Multigraph) -> Tuple[List[int], List[bool]]:
+    """Every vertex's valency and whether it carries a loop, in one sweep."""
+    val = [0] * g.vertex_count
+    loop = [False] * g.vertex_count
+    for a, b in g.edges:
+        val[a] += 1
+        val[b] += 1
+        if a == b:
+            loop[a] = True
+    return val, loop
+
+
 def connected_components(g: Multigraph) -> List[List[int]]:
     """Partition of vertex indices into maximal connected pieces."""
     inc = g.incidence()

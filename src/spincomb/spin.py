@@ -16,10 +16,10 @@ from .errors import InternalLengthMismatchError, NotEvenError, PreconditionFaile
 from .graphs import (
     EdgeSubset,
     Multigraph,
+    _valencies,
     betti_number,
     connected_components,
     subset_betti,
-    valency,
 )
 from .transforms import (
     Verdict,
@@ -55,11 +55,8 @@ class CurveDualGraph:
 
     def stability_violations(self) -> List[int]:
         """Vertices with genus mark 0 and fewer than 3 nodes."""
-        return [
-            v
-            for v in range(self.graph.vertex_count)
-            if self.genus_marks[v] == 0 and valency(self.graph, v) < 3
-        ]
+        val, _ = _valencies(self.graph)
+        return [v for v, d in enumerate(val) if self.genus_marks[v] == 0 and d < 3]
 
 
 @dataclass(frozen=True)

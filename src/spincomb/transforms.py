@@ -24,6 +24,7 @@ from .errors import (
 from .graphs import (
     EdgeSubset,
     Multigraph,
+    _valencies,
     connected_components,
     separating_edges,
     valency,
@@ -106,18 +107,6 @@ def contract_separating_edge(g: Multigraph, e: int) -> Multigraph:
         if eid != e
     ]
     return _drop_vertex(g.vertex_count, edges, v)
-
-
-def _valencies(g: Multigraph) -> Tuple[List[int], List[bool]]:
-    """Every vertex's valency and whether it carries a loop, in one sweep."""
-    val = [0] * g.vertex_count
-    loop = [False] * g.vertex_count
-    for a, b in g.edges:
-        val[a] += 1
-        val[b] += 1
-        if a == b:
-            loop[a] = True
-    return val, loop
 
 
 def is_superstable(g: Multigraph) -> bool:

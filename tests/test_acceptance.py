@@ -9,8 +9,6 @@ import math
 import random
 import time
 
-import pytest
-
 from spincomb import (
     CurveDualGraph,
     EdgeSubset,
@@ -29,7 +27,6 @@ from spincomb import (
     separating_edges,
     smooth_valency2,
     spin_report,
-    subset_betti,
     superstable_reduction,
     sweep_theorem2,
     sweep_theorem3,

@@ -8,15 +8,17 @@ from spincomb import (
     cycle_basis,
     cyclic_betti_set,
     cyclic_sets,
+    induced_subgraph,
     is_circuit,
     is_cyclic,
     is_eulerian,
     subset_betti,
+    valency,
 )
 from spincomb.errors import CapExceededError, NotCyclicError
 
 from conftest import (
-    cycle_graph,
+    count_components,
     even_subset_bits_oracle,
     fat_triangle,
     in_gf2_span,
@@ -203,6 +205,21 @@ class TestIsCircuit:
 
     def test_empty_is_not_a_circuit(self):
         assert not is_circuit(loop_graph(), EdgeSubset.empty(1))
+
+    def test_against_definition(self, rng):
+        """Every edge subset of small random graphs, against a component
+        count and the per-vertex valency of the induced subgraph."""
+        for _ in range(40):
+            g = random_connected_graph(rng, max_b1=3, max_vertices=4)
+            for bits in range(1 << g.edge_count):
+                s = EdgeSubset(bits, g.edge_count)
+                sub = induced_subgraph(g, s)
+                want = (
+                    bits != 0
+                    and count_components(sub.vertex_count, sub.edges) == 1
+                    and all(valency(sub, v) == 2 for v in range(sub.vertex_count))
+                )
+                assert is_circuit(g, s) == want
 
 
 class TestCircuitDecomposition:

@@ -153,6 +153,30 @@ class TestEnumerate:
         got = list(enumerate_multigraphs(5, connected=True, bridgeless=True))
         assert all(not separating_edges(g) for g in got)
 
+    @pytest.mark.parametrize("max_edges", [9, 10])
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_bridgeless_refused_past_eight_edges(self, max_edges, connected):
+        """The 9-cycle has 9 vertices, past the component cap, so a
+        bridgeless request above 8 edges is refused before any build."""
+        before = enumeration._connected_classes.cache_info()
+        with pytest.raises(TooLargeError):
+            list(enumerate_multigraphs(max_edges, connected=connected, bridgeless=True))
+        after = enumeration._connected_classes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_bridgeless_bounds_still_answered(self):
+        eight = list(enumerate_multigraphs(8, connected=True, bridgeless=True))
+        assert all(not separating_edges(g) for g in eight)
+        cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
+        assert canonical_form(cycle).canonical_key in {g.edges for g in eight}
+        pruned = list(enumerate_multigraphs(9, superstable=True, bridgeless=True))
+        assert len(pruned) == 1495
+        assert pruned == [
+            g
+            for g in enumerate_multigraphs(9, superstable=True)
+            if not separating_edges(g)
+        ]
+
     def test_betti_two_superstable_bridgeless(self):
         got = [
             g
@@ -228,10 +252,21 @@ class TestDeficitPruning:
         ]
         assert pruned == full
 
-    def test_pruned_levels_stay_out_of_the_cache(self):
-        before = {d: dict(level) for d, level in enumeration._LEVELS.items()}
-        list(enumerate_multigraphs(7, superstable=True))
-        assert enumeration._LEVELS == before
+    @pytest.mark.parametrize("pruned_first", [True, False])
+    def test_cache_is_keyed_on_superstable(self, pruned_first):
+        """The pruned and the full build of one bound are cached apart,
+        whichever runs first.  The candidate counts tell the two cache
+        entries apart even when both are already filled: a cache that
+        ignored ``superstable`` would return the same tuple for both."""
+        calls = {
+            "pruned": lambda: enumerate_multigraphs(7, superstable=True),
+            "full": lambda: enumerate_multigraphs(7, connected=True),
+        }
+        order = ["pruned", "full"] if pruned_first else ["full", "pruned"]
+        counts = {name: len(list(calls[name]())) for name in order}
+        assert counts == {"pruned": 326, "full": 1681}
+        candidates = [len(enumeration._connected_classes(7, s)) for s in (True, False)]
+        assert candidates == [329, 1681]
 
     def test_deficit(self):
         for g in (loop_graph(), tetrahedron(), fat_triangle(), split_graph(3)):
@@ -275,7 +310,9 @@ class TestDeficitPruning:
             assert good
             h = good[0]
             assert h.vertex_count <= g.vertex_count
-            grown = enumeration._grow([canonical_form(h).canonical_key], None)
+            grown = enumeration._grow(
+                {canonical_form(h).canonical_key: h.vertex_count}, None
+            )
             assert canonical_form(g).canonical_key in grown
 
 

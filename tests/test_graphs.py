@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from spincomb import (
     EdgeSubset,
-    Multigraph,
     betti_number,
     build_graph,
     connected_components,

@@ -12,6 +12,7 @@ from spincomb import (
     multiplicity_set,
     spin_report,
     support_description,
+    valency,
 )
 from spincomb.errors import NotEvenError, PreconditionFailedError
 
@@ -54,6 +55,17 @@ class TestCurveDualGraph:
         x = CurveDualGraph(path_graph(2), (0, 1))
         assert x.stability_violations() == [0]
         assert split_curve(3).stability_violations() == []
+
+    def test_stability_violations_match_per_vertex_valency(self, rng):
+        for _ in range(100):
+            g = random_connected_graph(rng, max_b1=3, max_vertices=6)
+            marks = tuple(rng.randint(0, 1) for _ in range(g.vertex_count))
+            want = [
+                v
+                for v in range(g.vertex_count)
+                if marks[v] == 0 and valency(g, v) < 3
+            ]
+            assert CurveDualGraph(g, marks).stability_violations() == want
 
 
 class TestCurveGenus:
