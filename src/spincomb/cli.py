@@ -18,7 +18,13 @@ from .curvefile import CurveFile, parse_curve
 from .cycles import cyclic_betti_set, is_eulerian
 from .enumeration import SweepReport, sweep_theorems
 from .errors import CapExceededError, CurveFileError, GraphError
-from .graphs import betti_number, connected_components, separating_edges, separating_vertices
+from .graphs import (
+    Multigraph,
+    betti_number,
+    connected_components,
+    separating_edges,
+    separating_vertices,
+)
 from .spin import (
     check_corollary_split,
     curve_genus,
@@ -226,12 +232,29 @@ def _sweep_dict(report: SweepReport) -> dict:
     }
 
 
+def _violation_dicts(theorem: int, report: SweepReport) -> List[dict]:
+    out = []
+    for key, verdict in report.violations:
+        # a superstable class has no isolated vertex
+        g = Multigraph(1 + max(map(max, key)), key)
+        out.append(
+            {
+                "theorem": theorem,
+                "canonical_key": [list(edge) for edge in key],
+                "cyclic_betti_set": sorted(cyclic_betti_set(g)),
+                "classification": verdict.classification,
+            }
+        )
+    return out
+
+
 def cmd_verify(max_edges: int) -> dict:
     theorem2, theorem3 = sweep_theorems(max_edges)
     return {
         "max_edges": max_edges,
         "theorem2": _sweep_dict(theorem2),
         "theorem3": _sweep_dict(theorem3),
+        "violating_classes": _violation_dicts(2, theorem2) + _violation_dicts(3, theorem3),
     }
 
 
@@ -243,6 +266,13 @@ def _render_verify(data: dict) -> List[str]:
             f"{tag}: examined={r['graphs_examined']} exercised={r['hypothesis_exercised']} "
             f"vacuous={r['vacuous']} violations={r['violations']} "
             f"({r['elapsed_seconds']}s)"
+        )
+    for v in data["violating_classes"]:
+        edges = " ".join(f"{a}-{b}" for a, b in v["canonical_key"])
+        lines.append(
+            f"theorem{v['theorem']} violated by {edges}: "
+            f"B={{{', '.join(map(str, v['cyclic_betti_set']))}}}, "
+            f"classification={v['classification']}"
         )
     return lines
 

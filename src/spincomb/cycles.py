@@ -164,6 +164,80 @@ def cyclic_sets(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[EdgeSubse
         yield EdgeSubset(bits, width)
 
 
+def _series_classes(g: Multigraph, support: int) -> Tuple[List[Edge], List[int], int]:
+    """The series classes of the edges in ``support``, the edges on some
+    cycle: each class's endpoint pair after smoothing and its edge mask, and
+    the number of vertices the pairs are labelled over.
+
+    A vertex whose support edges are exactly two non-loop edges puts both
+    in the same cyclic sets, so such vertices join their edges into chains.
+    A chain becomes one pair between its two end vertices, a whole cycle of
+    such vertices a loop at one of them, and the vertices the pairs name are
+    relabelled 0, 1, ...  Every cyclic set is a union of whole classes, and
+    smoothing keeps its b1.  With no such vertex each class is one edge and
+    the vertices keep their labels.
+    """
+    edges = g.edges
+    ids: List[int] = []
+    # support edges at each vertex; a loop counts 3, for two loops at one
+    # vertex are not in series and a lone loop needs no smoothing
+    count = [0] * g.vertex_count
+    for eid, (a, b) in enumerate(edges):
+        if support >> eid & 1:
+            ids.append(eid)
+            if a != b:
+                count[a] += 1
+                count[b] += 1
+            else:
+                count[a] += 3
+    if 2 not in count:
+        return [edges[eid] for eid in ids], [1 << eid for eid in ids], g.vertex_count
+    root = list(range(len(ids)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    joined: Dict[int, int] = {}
+    for i, eid in enumerate(ids):
+        for v in edges[eid]:
+            if count[v] == 2:
+                if v in joined:
+                    root[find(i)] = find(joined[v])
+                else:
+                    joined[v] = i
+    members: Dict[int, List[int]] = {}
+    for i in range(len(ids)):
+        members.setdefault(find(i), []).append(ids[i])
+    label: Dict[int, int] = {}
+    pairs: List[Edge] = []
+    masks: List[int] = []
+    for chain in members.values():
+        ends = [v for eid in chain for v in edges[eid] if count[v] != 2]
+        a, b = ends or (edges[chain[0]][0],) * 2
+        pairs.append((label.setdefault(a, len(label)), label.setdefault(b, len(label))))
+        masks.append(sum(1 << eid for eid in chain))
+    return pairs, masks, len(label)
+
+
+def _series_setup(
+    g: Multigraph, cap: int
+) -> Tuple[List[int], List[int], List[List[Tuple[Edge, ...]]], int, List[int]]:
+    """What a pass over the cycle space in series-class coordinates needs:
+    the basis in edge and in class coordinates, the chunk tables over the
+    class pairs, the vertex count they use and the class edge masks.  Bit i
+    of a packed set stands for class i."""
+    basis = _basis_bits(g, cap)
+    pairs, masks, n = _series_classes(g, reduce(or_, basis, 0))
+    if len(masks) == g.edge_count:  # every edge a class of its own
+        packed = basis
+    else:
+        packed = [sum(1 << i for i, m in enumerate(masks) if v & m) for v in basis]
+    return basis, packed, _chunk_tables(tuple(pairs)), n, masks
+
+
 def betti_profile(
     g: Multigraph, cap: int = ENUMERATION_CAP
 ) -> Dict[int, Tuple[int, EdgeSubset]]:
@@ -171,18 +245,12 @@ def betti_profile(
 
     Maps each m in B, in increasing order, to the number of cyclic sets D
     with b1(D) = m and the first such D in the order of :func:`cyclic_sets`.
-    Only edges on some cycle (the support of the basis) are read: the sets
-    are enumerated with bit i standing for the i-th of those edges, and only
-    the first sets are mapped back to edge indices.
+    The sets are enumerated over the series classes of the edges on some
+    cycle (see :func:`_series_classes`), with bit i standing for class i,
+    and only the first sets are mapped back to edge indices.
     """
-    basis = _basis_bits(g, cap)
-    union = reduce(or_, basis, 0)
-    support = [eid for eid in range(g.edge_count) if union >> eid & 1]
-    packed = [
-        sum(1 << i for i, eid in enumerate(support) if v >> eid & 1) for v in basis
-    ]
-    tables = _chunk_tables(tuple(g.edges[eid] for eid in support))
-    base = list(range(g.vertex_count))
+    _, packed, tables, n, masks = _series_setup(g, cap)
+    base = list(range(n))
     mask = (1 << _CHUNK) - 1
     counts: Dict[int, int] = {}
     first: Dict[int, int] = {}
@@ -201,11 +269,25 @@ def betti_profile(
     width = g.edge_count
 
     def unpacked(bits: int) -> EdgeSubset:
-        return EdgeSubset(
-            sum(1 << eid for i, eid in enumerate(support) if bits >> i & 1), width
-        )
+        return EdgeSubset(sum(m for i, m in enumerate(masks) if bits >> i & 1), width)
 
     return {m: (counts[m], unpacked(first[m])) for m in sorted(counts)}
+
+
+def _betti_sets(g: Multigraph) -> Iterator[Tuple[int, int]]:
+    """Every cyclic set as (edge bits, b1), in the order of :func:`cyclic_sets`:
+    the pass of :func:`betti_profile`, with the counter stepped in edge and
+    in class coordinates side by side."""
+    basis, packed, tables, n, _ = _series_setup(g, ENUMERATION_CAP)
+    base = list(range(n))
+    mask = (1 << _CHUNK) - 1
+    for bits, rest in zip(_counter_order(basis), _counter_order(packed)):
+        parent = base[:]
+        n1 = 0
+        for table in tables:
+            n1 += _closing_edges(parent, table[rest & mask])
+            rest >>= _CHUNK
+        yield bits, n1
 
 
 def cyclic_betti_set(g: Multigraph, cap: int = ENUMERATION_CAP) -> frozenset:

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .cycles import ENUMERATION_CAP, betti_profile, cyclic_betti_set, cyclic_sets, is_cyclic
+from .cycles import (
+    ENUMERATION_CAP,
+    _betti_sets,
+    betti_profile,
+    cyclic_betti_set,
+    cyclic_sets,
+    is_cyclic,
+)
 from .errors import InternalLengthMismatchError, NotEvenError, PreconditionFailedError
 from .graphs import (
     EdgeSubset,
@@ -142,20 +149,23 @@ def support_description(x: CurveDualGraph, delta: EdgeSubset) -> SupportDescript
     """Describe the quasistable support over the even set delta."""
     if not is_cyclic(x.graph, delta):
         raise NotEvenError("the node subset is not even; no spin support exists")
-    return _support(x, delta, betti_number(x.graph), sum(x.genus_marks))
+    n1 = subset_betti(x.graph, delta)
+    return _support(delta, n1, betti_number(x.graph), sum(x.genus_marks))
 
 
 def even_set_supports(x: CurveDualGraph) -> Iterator[SupportDescription]:
     """The support description of every even set, in the order of
-    :func:`even_sets`; b and p are computed once for the whole curve."""
+    :func:`even_sets`.  The sets and their b1 come from the one pass over
+    the cycle space that :func:`betti_profile` makes; b and p are computed
+    once for the whole curve."""
     b = betti_number(x.graph)
     p = sum(x.genus_marks)
-    for delta in even_sets(x):
-        yield _support(x, delta, b, p)
+    width = x.graph.edge_count
+    for bits, n1 in _betti_sets(x.graph):
+        yield _support(EdgeSubset(bits, width), n1, b, p)
 
 
-def _support(x: CurveDualGraph, delta: EdgeSubset, b: int, p: int) -> SupportDescription:
-    n1 = subset_betti(x.graph, delta)
+def _support(delta: EdgeSubset, n1: int, b: int, p: int) -> SupportDescription:
     complement = delta ^ EdgeSubset.full(delta.width)
     return SupportDescription(
         even_set=delta,

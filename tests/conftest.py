@@ -102,6 +102,20 @@ def random_multigraph(
     return build_graph(len(used), [(remap[a], remap[b]) for a, b in pairs])
 
 
+def subdivided(g: Multigraph, rng: random.Random, most: int = 3) -> Multigraph:
+    """Each edge replaced by a path through 0..most new vertices (a loop by
+    a cycle through them), then the edge order shuffled."""
+    n = g.vertex_count
+    edges: List[Edge] = []
+    for a, b in g.edges:
+        k = rng.randint(0, most)
+        path = [a] + list(range(n, n + k)) + [b]
+        n += k
+        edges.extend(zip(path, path[1:]))
+    rng.shuffle(edges)
+    return build_graph(n, edges)
+
+
 # ------------------------------------------------------------------- oracles
 
 def count_components(vertex_count: int, edges: Sequence[Edge]) -> int:

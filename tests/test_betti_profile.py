@@ -8,8 +8,10 @@ import random
 import pytest
 
 import spincomb.cycles as cycles
+import spincomb.spin as spin
 from conftest import (
     counter_order_oracle,
+    cycle_graph,
     dict_union_find_betti,
     fat_triangle,
     loop_graph,
@@ -19,11 +21,13 @@ from conftest import (
     random_multigraph,
     random_tree,
     split_graph,
+    subdivided,
     subgraph_betti_oracle,
     tetrahedron,
 )
 from spincomb import (
     CurveDualGraph,
+    EdgeSubset,
     Multigraph,
     betti_profile,
     build_graph,
@@ -38,6 +42,7 @@ from spincomb import (
     even_sets,
     separating_edges,
     spin_report,
+    subset_betti,
     superstable_reduction,
     support_description,
 )
@@ -223,3 +228,113 @@ def test_even_set_supports_match_support_description(rng):
         g = random_connected_graph(rng, max_b1=6, max_vertices=6)
         x = CurveDualGraph(g, tuple(rng.randint(0, 2) for _ in range(g.vertex_count)))
         assert list(even_set_supports(x)) == [support_description(x, d) for d in even_sets(x)]
+
+
+# ---------------------------------------------------------------- series classes
+
+
+def _joined(*graphs):
+    """Disjoint union, then the first vertex of each part joined to the first
+    vertex of the next by a bridge."""
+    edges, starts, offset = [], [], 0
+    for g in graphs:
+        edges += [(a + offset, b + offset) for a, b in g.edges]
+        starts.append(offset)
+        offset += g.vertex_count
+    edges += list(zip(starts, starts[1:]))
+    return build_graph(offset, edges)
+
+
+def _series_corpus():
+    """Graphs from the conftest builders, each edge subdivided 0-3 times."""
+    rng = random.Random(53)
+    bases = [loop_graph(), split_graph(2), split_graph(4), tetrahedron(), fat_triangle()]
+    bases += [K33, DUMBBELL, cycle_graph(3)]
+    # a cycle hung on a bridge, before and after the block in edge order
+    bases += [_joined(cycle_graph(3), tetrahedron()), _joined(tetrahedron(), cycle_graph(4))]
+    # bridges carrying pendant trees and loops
+    bases += [_joined(fat_triangle(), random_tree(rng), loop_graph(), split_graph(3))]
+    bases += [_joined(loop_graph(), loop_graph()), _joined(split_graph(2), path_graph(3))]
+    bases += [random_multigraph(rng, n) for n in (3, 5, 7, 8) for _ in range(6)]
+    bases += [random_graph(rng, max_b1=4) for _ in range(12)]
+    bases += [random_connected_graph(rng, max_b1=5, max_vertices=6) for _ in range(12)]
+    graphs = [subdivided(g, rng) for g in bases for _ in range(2)]
+    graphs += [cycle_graph(5), build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2)])]
+    return graphs
+
+
+def _classes(g):
+    basis = [v.bits for v in cycle_basis(g).basis_vectors]
+    support = 0
+    for v in basis:
+        support |= v
+    return basis, support, cycles._series_classes(g, support)
+
+
+class TestSeriesClasses:
+    def test_profile_matches_oracle(self):
+        for g in _series_corpus():
+            want = _oracle_profile(g)
+            assert {m: (c, w.bits) for m, (c, w) in betti_profile(g).items()} == want
+
+    def test_classes_partition_the_support_and_keep_b1(self):
+        for g in _series_corpus():
+            basis, support, (pairs, masks, n) = _classes(g)
+            assert sum(masks) == support  # disjoint, as the next line checks
+            assert sum(bin(m).count("1") for m in masks) == bin(support).count("1")
+            assert all(v & m in (0, m) for v in basis for m in masks)
+            assert all(0 <= a < n and 0 <= b < n for a, b in pairs)
+            # the smoothed support has the b1 of the support
+            whole = EdgeSubset(support, g.edge_count)
+            assert cycles._closing_edges(list(range(n)), pairs) == subset_betti(g, whole)
+
+    def test_corpus_takes_the_series_path(self):
+        graphs = _series_corpus()
+        classes = [_classes(g) for g in graphs]
+        smoothed = [len(masks) < bin(support).count("1") for _, support, (_, masks, _) in classes]
+        assert sum(smoothed) > len(graphs) // 2
+        assert any(a == b for g in graphs for a, b in g.edges)  # loops
+        assert any(len(set(g.edges)) < g.edge_count for g in graphs)  # parallels
+        assert any(separating_edges(g) for g in graphs)  # bridges
+        # a whole cycle of valency-2 vertices becomes a loop in a loopless graph
+        assert any(
+            any(a == b for a, b in pairs) and not any(a == b for a, b in g.edges)
+            for g, (_, _, (pairs, _, _)) in zip(graphs, classes)
+        )
+
+    def test_fast_exit_keeps_edges_and_labels(self):
+        for g in (tetrahedron(), K33, fat_triangle(), loop_graph()):
+            pairs, masks, n = _classes(g)[2]
+            assert pairs == list(g.edges) and n == g.vertex_count
+            assert masks == [1 << eid for eid in range(g.edge_count)]
+
+    def test_chain_becomes_one_pair(self):
+        # K4 with edge 0-1 subdivided twice: 8 cycle edges, 6 classes on 4 vertices
+        g = build_graph(6, [(0, 4), (4, 5), (1, 5), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        pairs, masks, n = _classes(g)[2]
+        assert n == 4 and len(pairs) == 6
+        assert 0b111 in masks
+
+    def test_even_set_supports_read_the_kernel(self, monkeypatch):
+        rng = random.Random(59)
+        curves = []
+        for g in _series_corpus():
+            if len(connected_components(g)) == 1:
+                marks = tuple(rng.randint(0, 2) for _ in range(g.vertex_count))
+                curves.append(CurveDualGraph(g, marks))
+        assert len(curves) > 30
+        got = {}
+
+        def refused(*args):
+            raise AssertionError("subset_betti called once per set")
+
+        monkeypatch.setattr(spin, "subset_betti", refused)
+        for x in curves:
+            got[x] = list(even_set_supports(x))
+        monkeypatch.undo()
+        for x in curves:
+            assert [d.even_set for d in got[x]] == list(cyclic_sets(x.graph))
+            for d in got[x]:
+                assert d.gluing_dimension == subset_betti(x.graph, d.even_set)
+                assert d.gluing_dimension == dict_union_find_betti(x.graph, d.even_set.bits)
+            assert got[x] == [support_description(x, d) for d in even_sets(x)]

@@ -6,9 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spincomb
 from spincomb import (
+    CurveDualGraph,
+    build_graph,
+    canonical_form,
     format_curve_file,
     parse_curve,
     parse_curve_file,
@@ -121,7 +126,40 @@ class TestStrictGrammar:
             parse_curve("v a genus=" + "9" * 5000 + "\n")
 
 
+# names the grammar reads as one field: no whitespace, no comment sign
+NAMES = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"), min_size=1
+).filter(lambda name: name.split() == [name])
+
+
+@st.composite
+def named_curves(draw):
+    """A connected marked dual graph (loops and parallel edges included)
+    with distinct vertex names and distinct edge names."""
+    n = draw(st.integers(1, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=1 if n == 1 else 0, max_size=6))
+    edges = draw(st.permutations(edges))
+    marks = tuple(draw(st.lists(st.integers(0, 10**30), min_size=n, max_size=n)))
+    x = CurveDualGraph(build_graph(n, edges), marks)
+    vertex_names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    edge_names = draw(st.lists(NAMES, min_size=len(edges), max_size=len(edges), unique=True))
+    return x, vertex_names, edge_names
+
+
 class TestRoundTrip:
+    @settings(deadline=None)
+    @given(named_curves())
+    def test_format_then_parse_gives_the_curve_back(self, curve):
+        x, vertex_names, edge_names = curve
+        cf = parse_curve(format_curve_file(x, vertex_names, edge_names))
+        assert cf.vertex_names == tuple(vertex_names)
+        assert cf.edge_names == tuple(edge_names)
+        assert cf.genus_marks == x.genus_marks
+        assert cf.edge_pairs == x.graph.edges
+        assert cf.to_dual_graph() == x
+
     def test_split_round_trip(self):
         x = parse_curve_file(SPLIT_G3)
         again = parse_curve_file(format_curve_file(x))
@@ -132,8 +170,6 @@ class TestRoundTrip:
         for _ in range(10):
             g = random_connected_graph(rng, max_b1=5, max_vertices=5)
             marks = tuple(rng.randint(0, 2) for _ in range(g.vertex_count))
-            from spincomb import CurveDualGraph
-
             x = CurveDualGraph(g, marks)
             y = parse_curve_file(format_curve_file(x))
             assert are_isomorphic(x.graph, y.graph)
@@ -230,6 +266,24 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["theorem2"]["violations"] == 0
         assert data["theorem3"]["violations"] == 0
+
+    def test_verify_names_the_k33_violation(self, capsys):
+        assert main(["--json", "verify", "9"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        k33 = canonical_form(build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))
+        assert data["violating_classes"] == [
+            {
+                "theorem": 2,
+                "canonical_key": [list(edge) for edge in k33.canonical_key],
+                "cyclic_betti_set": [0, 1],
+                "classification": "other",
+            }
+        ]
+        assert (data["theorem2"]["violations"], data["theorem3"]["violations"]) == (1, 0)
+        assert main(["verify", "9"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        edges = " ".join(f"{a}-{b}" for a, b in k33.canonical_key)
+        assert lines[3:] == [f"theorem2 violated by {edges}: B={{0, 1}}, classification=other"]
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.curve"]) == 1

@@ -264,3 +264,18 @@ def test_length_identity_random(rng):
         r = spin_report(CurveDualGraph(g, marks))
         assert r.length == 1 << (2 * r.genus)
         assert r.even_set_count == 1 << r.b
+
+
+class TestK33Counterexample:
+    """K_{3,3} with zero marks (genus 4) is superstable, omits 2 from B and
+    is none of the classes the corollaries allow: both report it."""
+
+    X = CurveDualGraph(build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]), (0,) * 6)
+
+    def test_corollary_split_fails(self):
+        v = check_corollary_split(self.X)
+        assert (v.holds, v.hypothesis_exercised, v.classification) == (False, True, "other")
+
+    def test_corollary_final_fails(self):
+        v = check_corollary_final(self.X)
+        assert (v.holds, v.hypothesis_exercised, v.classification) == (False, True, "other")
