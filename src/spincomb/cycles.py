@@ -164,20 +164,25 @@ def cyclic_sets(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[EdgeSubse
         yield EdgeSubset(bits, width)
 
 
-def _series_classes(g: Multigraph, support: int) -> Tuple[List[Edge], List[int], int]:
-    """The series classes of the edges in ``support``, the edges on some
-    cycle: each class's endpoint pair after smoothing and its edge mask, and
-    the number of vertices the pairs are labelled over.
+def _series_classes(
+    g: Multigraph, basis: List[int]
+) -> Tuple[List[Edge], List[int], int, List[int]]:
+    """The series classes of the edges on some cycle (the support of the
+    basis): each class's endpoint pair after smoothing, its edge mask, the
+    number of vertices the pairs are labelled over, and the basis with bit i
+    standing for class i.
 
     A vertex whose support edges are exactly two non-loop edges puts both
     in the same cyclic sets, so such vertices join their edges into chains.
     A chain becomes one pair between its two end vertices, a whole cycle of
     such vertices a loop at one of them, and the vertices the pairs name are
     relabelled 0, 1, ...  Every cyclic set is a union of whole classes, and
-    smoothing keeps its b1.  With no such vertex each class is one edge and
-    the vertices keep their labels.
+    smoothing keeps its b1.  With no such vertex every edge is a class of
+    its own, bridges included (no cyclic set holds one), and the vertices
+    and the basis stay as they are.
     """
     edges = g.edges
+    support = reduce(or_, basis, 0)
     ids: List[int] = []
     # support edges at each vertex; a loop counts 3, for two loops at one
     # vertex are not in series and a lone loop needs no smoothing
@@ -191,7 +196,7 @@ def _series_classes(g: Multigraph, support: int) -> Tuple[List[Edge], List[int],
             else:
                 count[a] += 3
     if 2 not in count:
-        return [edges[eid] for eid in ids], [1 << eid for eid in ids], g.vertex_count
+        return list(edges), [1 << eid for eid in range(len(edges))], g.vertex_count, basis
     root = list(range(len(ids)))
 
     def find(i: int) -> int:
@@ -219,7 +224,8 @@ def _series_classes(g: Multigraph, support: int) -> Tuple[List[Edge], List[int],
         a, b = ends or (edges[chain[0]][0],) * 2
         pairs.append((label.setdefault(a, len(label)), label.setdefault(b, len(label))))
         masks.append(sum(1 << eid for eid in chain))
-    return pairs, masks, len(label)
+    packed = [sum(1 << i for i, m in enumerate(masks) if v & m) for v in basis]
+    return pairs, masks, len(label), packed
 
 
 def _series_setup(
@@ -227,14 +233,9 @@ def _series_setup(
 ) -> Tuple[List[int], List[int], List[List[Tuple[Edge, ...]]], int, List[int]]:
     """What a pass over the cycle space in series-class coordinates needs:
     the basis in edge and in class coordinates, the chunk tables over the
-    class pairs, the vertex count they use and the class edge masks.  Bit i
-    of a packed set stands for class i."""
+    class pairs, the vertex count they use and the class edge masks."""
     basis = _basis_bits(g, cap)
-    pairs, masks, n = _series_classes(g, reduce(or_, basis, 0))
-    if len(masks) == g.edge_count:  # every edge a class of its own
-        packed = basis
-    else:
-        packed = [sum(1 << i for i, m in enumerate(masks) if v & m) for v in basis]
+    pairs, masks, n, packed = _series_classes(g, basis)
     return basis, packed, _chunk_tables(tuple(pairs)), n, masks
 
 

@@ -260,6 +260,8 @@ def _series_corpus():
     bases += [random_connected_graph(rng, max_b1=5, max_vertices=6) for _ in range(12)]
     graphs = [subdivided(g, rng) for g in bases for _ in range(2)]
     graphs += [cycle_graph(5), build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 2)])]
+    # no vertex joins two cycle edges, with and without bridges
+    graphs += [tetrahedron(), K33, DUMBBELL, _joined(fat_triangle(), loop_graph())]
     return graphs
 
 
@@ -268,7 +270,7 @@ def _classes(g):
     support = 0
     for v in basis:
         support |= v
-    return basis, support, cycles._series_classes(g, support)
+    return basis, support, cycles._series_classes(g, basis)
 
 
 class TestSeriesClasses:
@@ -279,39 +281,42 @@ class TestSeriesClasses:
 
     def test_classes_partition_the_support_and_keep_b1(self):
         for g in _series_corpus():
-            basis, support, (pairs, masks, n) = _classes(g)
-            assert sum(masks) == support  # disjoint, as the next line checks
-            assert sum(bin(m).count("1") for m in masks) == bin(support).count("1")
+            basis, support, (pairs, masks, n, packed) = _classes(g)
+            covered = sum(masks)
+            assert covered & support == support
+            # disjoint; a class lies on some cycle or is a bridge of its own
+            assert sum(bin(m).count("1") for m in masks) == bin(covered).count("1")
+            assert all(m & support in (0, m) for m in masks)
+            assert all(m & (m - 1) == 0 for m in masks if not m & support)
             assert all(v & m in (0, m) for v in basis for m in masks)
+            assert packed == [sum(1 << i for i, m in enumerate(masks) if v & m) for v in basis]
             assert all(0 <= a < n and 0 <= b < n for a, b in pairs)
             # the smoothed support has the b1 of the support
             whole = EdgeSubset(support, g.edge_count)
-            assert cycles._closing_edges(list(range(n)), pairs) == subset_betti(g, whole)
+            on_cycles = [pair for pair, m in zip(pairs, masks) if m & support]
+            assert cycles._closing_edges(list(range(n)), on_cycles) == subset_betti(g, whole)
 
     def test_corpus_takes_the_series_path(self):
         graphs = _series_corpus()
         classes = [_classes(g) for g in graphs]
-        smoothed = [len(masks) < bin(support).count("1") for _, support, (_, masks, _) in classes]
+        supports = [(support, masks) for _, support, (_, masks, _, _) in classes]
+        smoothed = [len(masks) < bin(support).count("1") for support, masks in supports]
         assert sum(smoothed) > len(graphs) // 2
+        # unsmoothed, with a bridge carried as a class of its own
+        assert any(sum(masks) != support for support, masks in supports)
         assert any(a == b for g in graphs for a, b in g.edges)  # loops
         assert any(len(set(g.edges)) < g.edge_count for g in graphs)  # parallels
         assert any(separating_edges(g) for g in graphs)  # bridges
         # a whole cycle of valency-2 vertices becomes a loop in a loopless graph
         assert any(
             any(a == b for a, b in pairs) and not any(a == b for a, b in g.edges)
-            for g, (_, _, (pairs, _, _)) in zip(graphs, classes)
+            for g, (_, _, (pairs, _, _, _)) in zip(graphs, classes)
         )
-
-    def test_fast_exit_keeps_edges_and_labels(self):
-        for g in (tetrahedron(), K33, fat_triangle(), loop_graph()):
-            pairs, masks, n = _classes(g)[2]
-            assert pairs == list(g.edges) and n == g.vertex_count
-            assert masks == [1 << eid for eid in range(g.edge_count)]
 
     def test_chain_becomes_one_pair(self):
         # K4 with edge 0-1 subdivided twice: 8 cycle edges, 6 classes on 4 vertices
         g = build_graph(6, [(0, 4), (4, 5), (1, 5), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        pairs, masks, n = _classes(g)[2]
+        pairs, masks, n, _ = _classes(g)[2]
         assert n == 4 and len(pairs) == 6
         assert 0b111 in masks
 
