@@ -91,39 +91,34 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
         else:
             non_forest.append(eid)
 
-    def forest_path_bits(src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        prev: dict = {src: (-1, -1)}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                break
-            for eid, w in forest_adj[u]:
-                if w not in prev:
-                    prev[w] = (u, eid)
-                    stack.append(w)
-        bits = 0
-        u = dst
-        while u != src:
-            u, eid = prev[u]
-            bits |= 1 << eid
-        return bits
+    # up[v]: the forest edges from v to the root of its tree, in one walk;
+    # the forest path between a and b is then up[a] ^ up[b]
+    up: List[int] = [-1] * n
+    for root in range(n):
+        if up[root] < 0:
+            up[root] = 0
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                for eid, w in forest_adj[u]:
+                    if up[w] < 0:
+                        up[w] = up[u] | 1 << eid
+                        stack.append(w)
 
     width = g.edge_count
     vectors = []
     for eid in non_forest:
         a, b = g.edges[eid]
-        vectors.append(EdgeSubset(forest_path_bits(a, b) | (1 << eid), width))
+        vectors.append(EdgeSubset(up[a] ^ up[b] | 1 << eid, width))
     return CycleBasis(width, tuple(vectors), EdgeSubset(forest_bits, width))
 
 
-def _basis_bits(g: Multigraph, cap: int) -> List[int]:
-    """The cycle basis as bitmasks, refused when longer than the cap."""
+def _basis_bits(g: Multigraph) -> List[int]:
+    """The cycle basis as bitmasks, refused when longer than
+    :data:`ENUMERATION_CAP`: the one place the cap is read."""
     basis = [v.bits for v in cycle_basis(g).basis_vectors]
-    if len(basis) > cap:
-        raise CapExceededError(len(basis), cap)
+    if len(basis) > ENUMERATION_CAP:
+        raise CapExceededError(len(basis), ENUMERATION_CAP)
     return basis
 
 
@@ -139,12 +134,6 @@ def _counter_order(basis: List[int]) -> Iterator[int]:
     return accumulate(steps, xor, initial=0)
 
 
-def _cyclic_bits(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[int]:
-    """All 2^b1 cyclic edge bitmasks, in coefficient-counter order.  The cap
-    is checked on the call, before any set is produced."""
-    return _counter_order(_basis_bits(g, cap))
-
-
 def _chunk_tables(edges: Tuple[Edge, ...]) -> List[List[Tuple[Edge, ...]]]:
     """For each run of _CHUNK consecutive edges, the endpoint pairs picked
     out by every bit pattern over it; a table doubles once per edge."""
@@ -157,10 +146,11 @@ def _chunk_tables(edges: Tuple[Edge, ...]) -> List[List[Tuple[Edge, ...]]]:
     return tables
 
 
-def cyclic_sets(g: Multigraph, cap: int = ENUMERATION_CAP) -> Iterator[EdgeSubset]:
-    """All cyclic edge subsets (even sets), each exactly once, deterministically."""
+def cyclic_sets(g: Multigraph) -> Iterator[EdgeSubset]:
+    """All 2^b1 cyclic edge subsets (even sets), each exactly once, in
+    coefficient-counter order."""
     width = g.edge_count
-    for bits in _cyclic_bits(g, cap):
+    for bits in _counter_order(_basis_bits(g)):
         yield EdgeSubset(bits, width)
 
 
@@ -229,19 +219,17 @@ def _series_classes(
 
 
 def _series_setup(
-    g: Multigraph, cap: int
+    g: Multigraph,
 ) -> Tuple[List[int], List[int], List[List[Tuple[Edge, ...]]], int, List[int]]:
     """What a pass over the cycle space in series-class coordinates needs:
     the basis in edge and in class coordinates, the chunk tables over the
     class pairs, the vertex count they use and the class edge masks."""
-    basis = _basis_bits(g, cap)
+    basis = _basis_bits(g)
     pairs, masks, n, packed = _series_classes(g, basis)
     return basis, packed, _chunk_tables(tuple(pairs)), n, masks
 
 
-def betti_profile(
-    g: Multigraph, cap: int = ENUMERATION_CAP
-) -> Dict[int, Tuple[int, EdgeSubset]]:
+def betti_profile(g: Multigraph) -> Dict[int, Tuple[int, EdgeSubset]]:
     """One pass over the cycle space, by cyclic Betti number.
 
     Maps each m in B, in increasing order, to the number of cyclic sets D
@@ -250,7 +238,7 @@ def betti_profile(
     cycle (see :func:`_series_classes`), with bit i standing for class i,
     and only the first sets are mapped back to edge indices.
     """
-    _, packed, tables, n, masks = _series_setup(g, cap)
+    _, packed, tables, n, masks = _series_setup(g)
     base = list(range(n))
     mask = (1 << _CHUNK) - 1
     counts: Dict[int, int] = {}
@@ -279,7 +267,7 @@ def _betti_sets(g: Multigraph) -> Iterator[Tuple[int, int]]:
     """Every cyclic set as (edge bits, b1), in the order of :func:`cyclic_sets`:
     the pass of :func:`betti_profile`, with the counter stepped in edge and
     in class coordinates side by side."""
-    basis, packed, tables, n, _ = _series_setup(g, ENUMERATION_CAP)
+    basis, packed, tables, n, _ = _series_setup(g)
     base = list(range(n))
     mask = (1 << _CHUNK) - 1
     for bits, rest in zip(_counter_order(basis), _counter_order(packed)):
@@ -291,9 +279,9 @@ def _betti_sets(g: Multigraph) -> Iterator[Tuple[int, int]]:
         yield bits, n1
 
 
-def cyclic_betti_set(g: Multigraph, cap: int = ENUMERATION_CAP) -> frozenset:
+def cyclic_betti_set(g: Multigraph) -> frozenset:
     """The set of first Betti numbers of cyclic subgraphs."""
-    return frozenset(betti_profile(g, cap))
+    return frozenset(betti_profile(g))
 
 
 def is_eulerian(g: Multigraph) -> bool:

@@ -15,9 +15,15 @@ by at most 2, so it could no longer reach 0.  Nothing superstable is lost.
 Every connected graph H with at least two edges loses one edge, and stays
 connected, by dropping a non-bridge edge or a pendant edge with its leaf,
 and that raises the deficit by at most 2; so each superstable class keeps a
-chain of unpruned ancestors, none with more vertices than the class.  A
-superstable class with delta edges and nu vertices has 2 * delta >= 3 * nu,
-so up to 12 edges neither it nor its ancestors meet the 8-vertex cap.
+chain of unpruned ancestors, none with more vertices than the class.
+
+A kept child with delta edges and nu vertices has deficit at least
+3 * nu - 2 * delta and at most 2 * (D - delta), so nu <= 2 * D / 3, and the
+pruned build meets the 8-vertex cap only past 12 edges.  The full build of
+D edges holds the trees on D + 1 vertices.  So :func:`enumerate_multigraphs`
+admits D up to ``MAX_ENUM_EDGES`` with ``superstable`` and up to
+``MAX_COMPONENT_VERTICES - 1`` without, refuses every other bound before
+any build, and returns every class of a bound it admits.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from itertools import permutations, product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import TooLargeError
-from .graphs import Multigraph, connected_components, separating_edges
+from .graphs import Multigraph, connected_components
 from .transforms import Verdict, check_theorems, is_superstable
 
 Edge = Tuple[int, int]
@@ -98,7 +104,7 @@ def _refine_classes(n: int, edges: List[Edge]) -> List[List[int]]:
 def _canonical_connected(n: int, edges: List[Edge]) -> Key:
     """Minimal edge key of a connected graph over class-respecting relabelings."""
     if n > MAX_COMPONENT_VERTICES:
-        raise TooLargeError(f"component has {n} vertices, cap is 8")
+        raise TooLargeError(f"component has {n} vertices, cap is {MAX_COMPONENT_VERTICES}")
     classes = _refine_classes(n, edges)
     best: Optional[Key] = None
     for combo in product(*(permutations(cls) for cls in classes)):
@@ -170,8 +176,7 @@ def _grow(level: Dict[Key, int], budget: Optional[int]) -> Dict[Key, int]:
         for u in range(n):
             for v in range(u, n):
                 children.append((n, key + ((u, v),)))
-            if n < MAX_COMPONENT_VERTICES:
-                children.append((n + 1, key + ((u, n),)))
+            children.append((n + 1, key + ((u, n),)))
         for cn, child in children:
             if budget is None or _deficit(cn, child) <= budget:
                 nxt.setdefault(_canonical_connected(cn, list(child)), cn)
@@ -196,34 +201,22 @@ def enumerate_multigraphs(
     *,
     connected: bool = False,
     superstable: bool = False,
-    bridgeless: bool = False,
 ) -> Iterator[Multigraph]:
-    """One representative per isomorphism class with at most max_edges edges.
+    """One representative per isomorphism class with at most max_edges edges,
+    in the order (vertex count, edge count, canonical key).
 
-    Components are limited to 8 vertices each (the canonical-form cap), so
-    with max_edges above 7 some tree-heavy classes fall outside the range.
-    Every superstable class is covered, as a superstable component with
-    delta edges has at most 2 * delta / 3 vertices, and so is every
-    bridgeless class with at most 8 edges (at most delta vertices); a
-    bridgeless request above 8 edges without ``superstable`` is refused.
-    Connected classes grow from the single vertex, one edge at a time, and
-    each build is cached per (max_edges, superstable).  With ``superstable``
-    only the classes that can still become superstable within max_edges are
-    generated.
-    Deterministic order: (vertex count, edge count, canonical key).
+    max_edges must be in 1..MAX_ENUM_EDGES with ``superstable`` and in
+    1..MAX_COMPONENT_VERTICES - 1 without it (a tree with max_edges edges
+    has one vertex more); any other bound raises TooLargeError before
+    anything is built.  With ``superstable`` only the classes that can still
+    become superstable within max_edges are grown.
     """
-    if not 1 <= max_edges <= MAX_ENUM_EDGES:
-        raise TooLargeError(f"max_edges must be in 1..{MAX_ENUM_EDGES}")
-    if bridgeless and not superstable and max_edges > MAX_COMPONENT_VERTICES:
-        raise TooLargeError(
-            f"bridgeless classes are complete up to {MAX_COMPONENT_VERTICES} "
-            "edges only, unless superstable"
-        )
+    limit = MAX_ENUM_EDGES if superstable else MAX_COMPONENT_VERTICES - 1
+    if not 1 <= max_edges <= limit:
+        raise TooLargeError(f"max_edges must be in 1..{limit}")
     comps = _connected_classes(max_edges, superstable)
     if superstable:
         comps = [c for c in comps if is_superstable(c)]
-    if bridgeless:
-        comps = [c for c in comps if not separating_edges(c)]
 
     # each result as the list of its components, all in canonical form
     results: List[List[Multigraph]] = []

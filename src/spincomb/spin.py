@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .cycles import (
-    ENUMERATION_CAP,
-    _betti_sets,
-    betti_profile,
-    cyclic_betti_set,
-    cyclic_sets,
-    is_cyclic,
-)
+from .cycles import _betti_sets, betti_profile, cyclic_betti_set, cyclic_sets, is_cyclic
 from .errors import InternalLengthMismatchError, NotEvenError, PreconditionFailedError
 from .graphs import (
     EdgeSubset,
@@ -28,13 +21,7 @@ from .graphs import (
     connected_components,
     subset_betti,
 )
-from .transforms import (
-    Verdict,
-    _theorem2_verdict,
-    _theorem3_verdict,
-    classify,
-    is_superstable,
-)
+from .transforms import Verdict, check_theorems, classify, is_superstable
 
 
 @dataclass(frozen=True)
@@ -98,9 +85,9 @@ def curve_genus(x: CurveDualGraph) -> int:
     return betti_number(x.graph) + sum(x.genus_marks)
 
 
-def even_sets(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Iterator[EdgeSubset]:
+def even_sets(x: CurveDualGraph) -> Iterator[EdgeSubset]:
     """Even sets of nodes = cyclic subsets of the dual graph."""
-    return cyclic_sets(x.graph, cap)
+    return cyclic_sets(x.graph)
 
 
 def is_compact_type(x: CurveDualGraph) -> bool:
@@ -108,7 +95,7 @@ def is_compact_type(x: CurveDualGraph) -> bool:
     return betti_number(x.graph) == 0
 
 
-def spin_report(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> SpinReport:
+def spin_report(x: CurveDualGraph) -> SpinReport:
     """Component count, multiplicity multiset and length of the spin scheme.
 
     Each even set D contributes 2^(2p) * 2^(b1(D)) components at
@@ -120,7 +107,7 @@ def spin_report(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> SpinReport:
     genus = b + p
     multiset: Dict[int, int] = {}
     component_count = 0
-    for n1, (sets, _) in betti_profile(x.graph, cap).items():
+    for n1, (sets, _) in betti_profile(x.graph).items():
         count = sets << (2 * p + n1)
         component_count += count
         multiset[b - n1] = count
@@ -139,10 +126,10 @@ def spin_report(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> SpinReport:
     )
 
 
-def multiplicity_set(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> frozenset:
+def multiplicity_set(x: CurveDualGraph) -> frozenset:
     """Exponents n with 2^n a multiplicity: {b - m : m cyclic Betti number}."""
     b = betti_number(x.graph)
-    return frozenset(b - m for m in cyclic_betti_set(x.graph, cap))
+    return frozenset(b - m for m in cyclic_betti_set(x.graph))
 
 
 def support_description(x: CurveDualGraph, delta: EdgeSubset) -> SupportDescription:
@@ -177,11 +164,11 @@ def _support(delta: EdgeSubset, n1: int, b: int, p: int) -> SupportDescription:
     )
 
 
-def check_corollary_split(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Verdict:
+def check_corollary_split(x: CurveDualGraph) -> Verdict:
     """If the spin scheme has a multiplicity-2^g component and none of
     multiplicity 2^(g-2), the curve is split or the genus-3 polygonal curve."""
     g = curve_genus(x)
-    exponents = multiplicity_set(x, cap)
+    exponents = multiplicity_set(x)
     exercised = g in exponents and (g - 2) not in exponents
     cls = classify(x.graph)
     if not exercised:
@@ -190,7 +177,7 @@ def check_corollary_split(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Verd
     return Verdict(ok, cls, hypothesis_exercised=True)
 
 
-def check_corollary_final(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Verdict:
+def check_corollary_final(x: CurveDualGraph) -> Verdict:
     """Genus >= 4, superstable dual graph: (i) if 2^(b-2) is not a
     multiplicity then the graph is split (or the loop / tetrahedron cases
     of the underlying classification); (ii) if 2^(b-3) is absent and some
@@ -200,12 +187,9 @@ def check_corollary_final(x: CurveDualGraph, cap: int = ENUMERATION_CAP) -> Verd
         raise PreconditionFailedError("curve genus must be at least 4")
     if not is_superstable(x.graph):
         raise PreconditionFailedError("dual graph must be superstable")
-    profile = betti_profile(x.graph, cap)
-    cls = classify(x.graph)
-    part_i = _theorem2_verdict(profile, cls)
-    part_ii = _theorem3_verdict(profile, cls)
+    part_i, part_ii = check_theorems(x.graph)
     return Verdict(
         part_i.holds and part_ii.holds,
-        cls,
+        part_i.classification,
         hypothesis_exercised=part_i.hypothesis_exercised or part_ii.hypothesis_exercised,
     )

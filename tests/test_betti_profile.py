@@ -143,18 +143,20 @@ class TestCap:
             lambda: check_theorem2(g),
             lambda: check_theorem3(g),
             lambda: check_corollary_final(CurveDualGraph(g, (0, 0))),
+            lambda: list(cyclic_sets(g)),
+            lambda: list(even_sets(CurveDualGraph(g, (0, 0)))),
         ]
         for call in calls:
             with pytest.raises(CapExceededError) as exc:
                 call()
             assert exc.value.betti == 31
-        with pytest.raises(CapExceededError):
-            cycles._cyclic_bits(g)  # raises on the call, not on first use
 
-    def test_explicit_cap(self):
+    def test_explicit_cap(self, monkeypatch):
+        """The cap is read from the module constant on every call."""
+        monkeypatch.setattr(cycles, "ENUMERATION_CAP", 4)
         with pytest.raises(CapExceededError):
-            betti_profile(split_graph(6), cap=4)
-        assert list(betti_profile(split_graph(5), cap=4)) == [0, 1, 3]
+            betti_profile(split_graph(6))
+        assert list(betti_profile(split_graph(5))) == [0, 1, 3]
 
 
 def _first_with_betti(g, target):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -150,40 +151,67 @@ class TestEnumerate:
         assert len(got) == sum(1 for g in everything if is_superstable(g))
 
     def test_bridgeless_filter(self):
-        got = list(enumerate_multigraphs(5, connected=True, bridgeless=True))
-        assert all(not separating_edges(g) for g in got)
+        """Bridgeless classes are a filter at the call site: every cycle
+        with at most 5 edges is kept and no class with a leaf is."""
+        got = [
+            g for g in enumerate_multigraphs(5, connected=True) if not separating_edges(g)
+        ]
+        keys = {g.edges for g in got}
+        for n in range(1, 6):
+            cycle = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+            assert canonical_form(cycle).canonical_key in keys
+        for g in got:
+            val = [0] * g.vertex_count
+            for a, b in g.edges:
+                val[a] += 1
+                val[b] += 1
+            assert 1 not in val
 
     @pytest.mark.parametrize("max_edges", [9, 10])
     @pytest.mark.parametrize("connected", [True, False])
     def test_bridgeless_refused_past_eight_edges(self, max_edges, connected):
-        """The 9-cycle has 9 vertices, past the component cap, so a
-        bridgeless request above 8 edges is refused before any build."""
+        """The 9-cycle has 9 vertices, past the component cap.  A bridgeless
+        enumeration filters the full build, and the full build above 7 edges
+        is refused before anything is built."""
         before = enumeration._connected_classes.cache_info()
         with pytest.raises(TooLargeError):
-            list(enumerate_multigraphs(max_edges, connected=connected, bridgeless=True))
+            list(enumerate_multigraphs(max_edges, connected=connected))
         after = enumeration._connected_classes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_eight_edges_refused_before_any_build(self, connected):
+        """The 47 trees with 8 edges have 9 vertices, past the component
+        cap, so the full build of 8 edges is refused rather than returned
+        without them."""
+        before = enumeration._connected_classes.cache_info()
+        with pytest.raises(TooLargeError):
+            list(enumerate_multigraphs(8, connected=connected))
+        after = enumeration._connected_classes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_seven_edges_hold_every_tree(self):
+        """At the largest bound the full build admits, the classes on 8
+        vertices are the 23 trees with 7 edges: the cap cuts nothing."""
+        got = [g for g in enumerate_multigraphs(7, connected=True) if g.vertex_count == 8]
+        assert len(got) == 23
+
     def test_bridgeless_bounds_still_answered(self):
-        eight = list(enumerate_multigraphs(8, connected=True, bridgeless=True))
-        assert all(not separating_edges(g) for g in eight)
-        cycle = build_graph(8, [(i, (i + 1) % 8) for i in range(8)])
-        assert canonical_form(cycle).canonical_key in {g.edges for g in eight}
-        pruned = list(enumerate_multigraphs(9, superstable=True, bridgeless=True))
-        assert len(pruned) == 1495
-        assert pruned == [
-            g
-            for g in enumerate_multigraphs(9, superstable=True)
-            if not separating_edges(g)
+        seven = [
+            g for g in enumerate_multigraphs(7, connected=True) if not separating_edges(g)
         ]
+        cycle = build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
+        assert canonical_form(cycle).canonical_key in {g.edges for g in seven}
+        pruned = [
+            g for g in enumerate_multigraphs(9, superstable=True) if not separating_edges(g)
+        ]
+        assert len(pruned) == 1495
 
     def test_betti_two_superstable_bridgeless(self):
         got = [
             g
-            for g in enumerate_multigraphs(
-                6, connected=True, superstable=True, bridgeless=True
-            )
-            if betti_number(g) == 2
+            for g in enumerate_multigraphs(6, connected=True, superstable=True)
+            if not separating_edges(g) and betti_number(g) == 2
         ]
         # exactly the two-loop wedge and the triple edge
         assert sorted((g.vertex_count, g.edge_count) for g in got) == [
@@ -197,15 +225,9 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("connected", [True, False])
     def test_sort_key_is_the_canonical_key(self, connected):
-        flags = itertools.product([False, True], repeat=2)
-        for superstable, bridgeless in flags:
+        for superstable in (False, True):
             got = list(
-                enumerate_multigraphs(
-                    6,
-                    connected=connected,
-                    superstable=superstable,
-                    bridgeless=bridgeless,
-                )
+                enumerate_multigraphs(6, connected=connected, superstable=superstable)
             )
             for g in got:
                 # the components of g are contiguous blocks in canonical form
@@ -241,10 +263,21 @@ def _deficit_oracle(g):
 class TestDeficitPruning:
     @pytest.mark.parametrize("max_edges", range(1, 9))
     @pytest.mark.parametrize("connected", [True, False])
-    def test_pruned_equals_filtered_full_enumeration(self, max_edges, connected):
+    def test_pruned_equals_filtered_full_enumeration(
+        self, max_edges, connected, monkeypatch
+    ):
         pruned = list(
             enumerate_multigraphs(max_edges, connected=connected, superstable=True)
         )
+        if max_edges == 8:
+            # the full build of 8 edges holds the trees on 9 vertices: let
+            # the oracle canonicalize them, in a cache of its own
+            monkeypatch.setattr(enumeration, "MAX_COMPONENT_VERTICES", 9)
+            monkeypatch.setattr(
+                enumeration,
+                "_connected_classes",
+                functools.cache(enumeration._connected_classes.__wrapped__),
+            )
         full = [
             g
             for g in enumerate_multigraphs(max_edges, connected=connected)

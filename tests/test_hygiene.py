@@ -1,6 +1,8 @@
 """Every top-level import of a module in ``src/spincomb`` or ``tests`` is
 used by that module.  Names listed in ``__all__`` count as used, and
-``from __future__ import annotations`` is exempt."""
+``from __future__ import annotations`` is exempt.  Every module-level
+``_private`` name of ``src/spincomb`` is read somewhere in the package, so
+a removed caller cannot leave its helper behind."""
 
 import ast
 from pathlib import Path
@@ -8,9 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "spincomb").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "spincomb").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -51,3 +52,50 @@ def test_checker_flags_only_unused_names():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: list) -> list:
+    """Module-level ``_private`` names (not dunders) defined in ``sources``
+    that none of them reads as a Name, an Attribute or an imported name,
+    sorted."""
+    defined = set()
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    private = {d for d in defined if d.startswith("_") and not d.startswith("__")}
+    return sorted(private - read)
+
+
+def test_private_checker_flags_only_unread_names():
+    sources = [
+        "_CAP = 3\n"
+        "_unused: int = 4\n"
+        "def _helper():\n"
+        "    return _CAP\n"
+        "def _orphan():\n"
+        "    _orphan_local = 1\n"
+        "class _Kept: pass\n"
+        "__version__ = '1'\n",
+        "from .a import _helper\n"
+        "import a\n"
+        "x = a._Kept\n",
+    ]
+    assert unread_private_names(sources) == ["_orphan", "_unused"]
+
+
+def test_no_unread_private_names():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert unread_private_names(sources) == []
