@@ -260,6 +260,11 @@ def _deficit_oracle(g):
     return sum(max(0, 3 - d) for d in val)
 
 
+# full builds for the oracle past the bound enumerate_multigraphs admits,
+# shared by the rows that need one
+_ORACLE_BUILDS = functools.cache(enumeration._connected_classes.__wrapped__)
+
+
 class TestDeficitPruning:
     @pytest.mark.parametrize("max_edges", range(1, 9))
     @pytest.mark.parametrize("connected", [True, False])
@@ -271,13 +276,9 @@ class TestDeficitPruning:
         )
         if max_edges == 8:
             # the full build of 8 edges holds the trees on 9 vertices: let
-            # the oracle canonicalize them, in a cache of its own
+            # the oracle canonicalize them, in a cache apart from the library's
             monkeypatch.setattr(enumeration, "MAX_COMPONENT_VERTICES", 9)
-            monkeypatch.setattr(
-                enumeration,
-                "_connected_classes",
-                functools.cache(enumeration._connected_classes.__wrapped__),
-            )
+            monkeypatch.setattr(enumeration, "_connected_classes", _ORACLE_BUILDS)
         full = [
             g
             for g in enumerate_multigraphs(max_edges, connected=connected)
