@@ -277,6 +277,15 @@ def _render_verify(data: dict) -> List[str]:
     return lines
 
 
+# name -> (help, command, renderer) of every command that reads a curve file
+_FILE_COMMANDS = {
+    "analyze": ("graph invariants of the dual graph", cmd_analyze, _render_analyze),
+    "spin": ("numerics of the scheme of spin curves", cmd_spin, _render_spin),
+    "classify": ("recognizers and theorem verdicts", cmd_classify, _render_classify),
+    "evensets": ("stream all even sets with their spin data", cmd_evensets, _render_evensets),
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="spincomb",
@@ -286,12 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("analyze", "graph invariants of the dual graph"),
-        ("spin", "numerics of the scheme of spin curves"),
-        ("classify", "recognizers and theorem verdicts"),
-        ("evensets", "stream all even sets with their spin data"),
-    ):
+    for name, (text, _, _) in _FILE_COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("path", help="curve file")
     p = sub.add_parser("verify", help="run both theorem sweeps")
@@ -305,12 +309,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             failed = data["theorem2"]["violations"] or data["theorem3"]["violations"]
         else:
             cf = _load(args.path)
-            command, render = {
-                "analyze": (cmd_analyze, _render_analyze),
-                "spin": (cmd_spin, _render_spin),
-                "classify": (cmd_classify, _render_classify),
-                "evensets": (cmd_evensets, _render_evensets),
-            }[args.command]
+            _, command, render = _FILE_COMMANDS[args.command]
             data = command(cf)
             failed = False
         # rendering fails too once a count passes the int-to-str digit limit

@@ -67,49 +67,36 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
     """Fundamental cycles with respect to the lowest-edge-index spanning forest.
 
     Each non-forest edge e contributes forest-path(endpoints of e) + e;
-    a loop contributes just itself.
+    a loop contributes just itself.  One union-find pass over the edges in
+    index order finds both: up[x] holds the forest edges from x to
+    parent[x], and from x to its root once find(x) has run, so the forest
+    path between two vertices of one tree is up[a] ^ up[b].
     """
-    n = g.vertex_count
-    parent = list(range(n))
+    parent = list(range(g.vertex_count))
+    up = [0] * g.vertex_count
 
     def find(x: int) -> int:
+        path = []
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            path.append(x)
             x = parent[x]
+        for v in reversed(path):  # a root's up is 0
+            up[v] ^= up[parent[v]]
+            parent[v] = x
         return x
 
+    width = g.edge_count
     forest_bits = 0
-    non_forest: List[int] = []
-    forest_adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    vectors = []
     for eid, (a, b) in enumerate(g.edges):
         ra, rb = find(a), find(b)
+        cycle = up[a] ^ up[b] ^ 1 << eid
         if ra != rb:
             parent[ra] = rb
+            up[ra] = cycle
             forest_bits |= 1 << eid
-            forest_adj[a].append((eid, b))
-            forest_adj[b].append((eid, a))
         else:
-            non_forest.append(eid)
-
-    # up[v]: the forest edges from v to the root of its tree, in one walk;
-    # the forest path between a and b is then up[a] ^ up[b]
-    up: List[int] = [-1] * n
-    for root in range(n):
-        if up[root] < 0:
-            up[root] = 0
-            stack = [root]
-            while stack:
-                u = stack.pop()
-                for eid, w in forest_adj[u]:
-                    if up[w] < 0:
-                        up[w] = up[u] | 1 << eid
-                        stack.append(w)
-
-    width = g.edge_count
-    vectors = []
-    for eid in non_forest:
-        a, b = g.edges[eid]
-        vectors.append(EdgeSubset(up[a] ^ up[b] | 1 << eid, width))
+            vectors.append(EdgeSubset(cycle, width))
     return CycleBasis(width, tuple(vectors), EdgeSubset(forest_bits, width))
 
 
@@ -148,10 +135,10 @@ def _chunk_tables(edges: Tuple[Edge, ...]) -> List[List[Tuple[Edge, ...]]]:
 
 def cyclic_sets(g: Multigraph) -> Iterator[EdgeSubset]:
     """All 2^b1 cyclic edge subsets (even sets), each exactly once, in
-    coefficient-counter order."""
+    coefficient-counter order.  A cycle space past
+    :data:`ENUMERATION_CAP` is refused on the call."""
     width = g.edge_count
-    for bits in _counter_order(_basis_bits(g)):
-        yield EdgeSubset(bits, width)
+    return (EdgeSubset(bits, width) for bits in _counter_order(_basis_bits(g)))
 
 
 def _series_classes(
@@ -266,17 +253,22 @@ def betti_profile(g: Multigraph) -> Dict[int, Tuple[int, EdgeSubset]]:
 def _betti_sets(g: Multigraph) -> Iterator[Tuple[int, int]]:
     """Every cyclic set as (edge bits, b1), in the order of :func:`cyclic_sets`:
     the pass of :func:`betti_profile`, with the counter stepped in edge and
-    in class coordinates side by side."""
+    in class coordinates side by side.  The setup, and so the cap check,
+    runs on the call; the pass runs as the sets are read."""
     basis, packed, tables, n, _ = _series_setup(g)
     base = list(range(n))
     mask = (1 << _CHUNK) - 1
-    for bits, rest in zip(_counter_order(basis), _counter_order(packed)):
-        parent = base[:]
-        n1 = 0
-        for table in tables:
-            n1 += _closing_edges(parent, table[rest & mask])
-            rest >>= _CHUNK
-        yield bits, n1
+
+    def sets() -> Iterator[Tuple[int, int]]:
+        for bits, rest in zip(_counter_order(basis), _counter_order(packed)):
+            parent = base[:]
+            n1 = 0
+            for table in tables:
+                n1 += _closing_edges(parent, table[rest & mask])
+                rest >>= _CHUNK
+            yield bits, n1
+
+    return sets()
 
 
 def cyclic_betti_set(g: Multigraph) -> frozenset:
@@ -329,7 +321,6 @@ def circuit_decomposition(g: Multigraph, s: EdgeSubset) -> List[EdgeSubset]:
             remaining.discard(start)
             parts.append(EdgeSubset(1 << start, width))
             continue
-        walk_vertices = [a, b]
         walk_edges = [start]
         position = {a: 0, b: 1}
         current = b
@@ -349,7 +340,6 @@ def circuit_decomposition(g: Multigraph, s: EdgeSubset) -> List[EdgeSubset]:
                 remaining.difference_update(circuit)
                 parts.append(EdgeSubset.from_indices(width, circuit))
                 break
-            position[nxt] = len(walk_vertices)
-            walk_vertices.append(nxt)
+            position[nxt] = len(position)
             current = nxt
     return parts

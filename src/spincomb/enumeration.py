@@ -22,8 +22,10 @@ A kept child with delta edges and nu vertices has deficit at least
 pruned build meets the 8-vertex cap only past 12 edges.  The full build of
 D edges holds the trees on D + 1 vertices.  So :func:`enumerate_multigraphs`
 admits D up to ``MAX_ENUM_EDGES`` with ``superstable`` and up to
-``MAX_COMPONENT_VERTICES - 1`` without, refuses every other bound before
-any build, and returns every class of a bound it admits.
+``MAX_COMPONENT_VERTICES - 1`` without, refuses every other bound on the
+call, before any build, and returns every class of a bound it admits.  The
+theorem sweeps admit exactly its superstable bounds: ``MAX_ENUM_EDGES`` is
+the one bound of this module.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ MAX_COMPONENT_VERTICES = 8
 
 #: Enumeration is desk-scale; larger bounds are refused.
 MAX_ENUM_EDGES = 10
-MAX_SWEEP_EDGES = 9
 
 
 @dataclass(frozen=True)
@@ -207,13 +208,20 @@ def enumerate_multigraphs(
 
     max_edges must be in 1..MAX_ENUM_EDGES with ``superstable`` and in
     1..MAX_COMPONENT_VERTICES - 1 without it (a tree with max_edges edges
-    has one vertex more); any other bound raises TooLargeError before
-    anything is built.  With ``superstable`` only the classes that can still
+    has one vertex more); any other bound raises TooLargeError on the call,
+    before anything is built.  The classes are built on the first
+    ``next()``.  With ``superstable`` only the classes that can still
     become superstable within max_edges are grown.
     """
     limit = MAX_ENUM_EDGES if superstable else MAX_COMPONENT_VERTICES - 1
     if not 1 <= max_edges <= limit:
         raise TooLargeError(f"max_edges must be in 1..{limit}")
+    return _classes(max_edges, connected, superstable)
+
+
+def _classes(max_edges: int, connected: bool, superstable: bool) -> Iterator[Multigraph]:
+    """The classes of :func:`enumerate_multigraphs`, built on the first
+    ``next()``."""
     comps = _connected_classes(max_edges, superstable)
     if superstable:
         comps = [c for c in comps if is_superstable(c)]
@@ -265,10 +273,10 @@ def sweep_theorems(max_edges: int) -> Tuple[SweepReport, SweepReport]:
 
     Each class gets one betti_profile and one classify, shared by the
     theorem 2 and theorem 3 verdicts.  Both reports carry the elapsed time
-    of the whole pass, enumeration included.
+    of the whole pass, enumeration included.  max_edges must be a bound
+    that ``enumerate_multigraphs(max_edges, superstable=True)`` admits,
+    1..MAX_ENUM_EDGES; that call raises TooLargeError on any other.
     """
-    if not 1 <= max_edges <= MAX_SWEEP_EDGES:
-        raise TooLargeError(f"max_edges must be in 1..{MAX_SWEEP_EDGES}")
     start = time.perf_counter()
     examined = 0
     exercised = [0, 0]

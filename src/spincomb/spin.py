@@ -144,12 +144,14 @@ def even_set_supports(x: CurveDualGraph) -> Iterator[SupportDescription]:
     """The support description of every even set, in the order of
     :func:`even_sets`.  The sets and their b1 come from the one pass over
     the cycle space that :func:`betti_profile` makes; b and p are computed
-    once for the whole curve."""
+    once for the whole curve.  A cycle space past the enumeration cap is
+    refused on the call."""
     b = betti_number(x.graph)
     p = sum(x.genus_marks)
     width = x.graph.edge_count
-    for bits, n1 in _betti_sets(x.graph):
-        yield _support(EdgeSubset(bits, width), n1, b, p)
+    return (
+        _support(EdgeSubset(bits, width), n1, b, p) for bits, n1 in _betti_sets(x.graph)
+    )
 
 
 def _support(delta: EdgeSubset, n1: int, b: int, p: int) -> SupportDescription:

@@ -3,14 +3,17 @@ and the recognizers / theorem checkers for the two classification results.
 
 The loop, tetrahedron and fat-triangle recognizers compare sorted edge
 lists; the tests check them against a search over all vertex permutations
-(the oracle ``are_isomorphic`` in ``tests/conftest.py``).
+(the oracle ``are_isomorphic`` in ``tests/conftest.py``).  The rules of
+both theorems, and their superstable precondition, live in
+:func:`check_theorems` alone; :func:`check_theorem2` and
+:func:`check_theorem3` read one verdict each from it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cycles import betti_profile
 from .errors import (
@@ -116,17 +119,6 @@ def is_superstable(g: Multigraph) -> bool:
     return all(d >= 3 or (d == 2 and loop[v]) for v, d in enumerate(val))
 
 
-def _reduction_candidates(g: Multigraph) -> List[Tuple[str, int]]:
-    val, loop = _valencies(g)
-    out: List[Tuple[str, int]] = []
-    for v, d in enumerate(val):
-        if d == 1:
-            out.append(("eliminate", v))
-        elif d == 2 and not loop[v]:
-            out.append(("smooth", v))
-    return out
-
-
 def superstable_reduction(
     g: Multigraph, rng: Optional[random.Random] = None
 ) -> Multigraph:
@@ -143,11 +135,12 @@ def superstable_reduction(
         if comp_edges - len(block) + 1 == 0:
             raise VanishingComponentError(f"component {block} is a tree")
     while True:
-        candidates = _reduction_candidates(g)
+        val, loop = _valencies(g)
+        candidates = [v for v, d in enumerate(val) if d == 1 or d == 2 and not loop[v]]
         if not candidates:
             return g
-        op, v = candidates[0] if rng is None else rng.choice(candidates)
-        g = eliminate_valency1(g, v) if op == "eliminate" else smooth_valency2(g, v)
+        v = candidates[0] if rng is None else rng.choice(candidates)
+        g = eliminate_valency1(g, v) if val[v] == 1 else smooth_valency2(g, v)
 
 
 _LOOP = Multigraph(1, ((0, 0),))
@@ -175,12 +168,9 @@ def is_fat_triangle(g: Multigraph) -> bool:
 
 
 def is_split(g: Multigraph) -> bool:
-    """Connected, two vertices, no loops."""
-    return (
-        g.vertex_count == 2
-        and len(connected_components(g)) == 1
-        and all(a != b for a, b in g.edges)
-    )
+    """Connected, two vertices, no loops: two vertices, at least one edge,
+    and every edge joins them."""
+    return g.vertex_count == 2 and g.edge_count > 0 and all(a != b for a, b in g.edges)
 
 
 def classify(g: Multigraph) -> str:
@@ -195,25 +185,6 @@ def classify(g: Multigraph) -> str:
     return "other"
 
 
-def _theorem2_verdict(profile: Dict[int, Tuple[int, EdgeSubset]], cls: str) -> Verdict:
-    """Theorem 2 on a superstable graph, from its betti_profile and class.
-
-    The loop has b1 = 1 and the tetrahedron b1 = 3, so the class alone
-    decides the conclusion."""
-    if 2 in profile:
-        return Verdict(True, cls, witness=profile[2][1])
-    return Verdict(cls in ("split", "loop", "tetrahedron"), cls, hypothesis_exercised=True)
-
-
-def _theorem3_verdict(profile: Dict[int, Tuple[int, EdgeSubset]], cls: str) -> Verdict:
-    """Theorem 3 on a superstable graph, from its betti_profile and class
-    (the fat triangle has b1 = 4)."""
-    exercised = 3 not in profile and any(m > 3 for m in profile)
-    if not exercised:
-        return Verdict(True, cls, witness=profile[3][1] if 3 in profile else None)
-    return Verdict(cls == "fat_triangle", cls, hypothesis_exercised=True)
-
-
 def check_theorem2(g: Multigraph) -> Verdict:
     """Classification of superstable graphs whose cyclic Betti numbers omit 2.
 
@@ -221,23 +192,32 @@ def check_theorem2(g: Multigraph) -> Verdict:
     (b1 = 3).  When 2 does occur, the verdict is vacuously true and the
     first cyclic set of Betti number 2 is attached as witness.
     """
-    if not is_superstable(g):
-        raise NotSuperstableError("theorem check needs a superstable graph")
-    return _theorem2_verdict(betti_profile(g), classify(g))
+    return check_theorems(g)[0]
 
 
 def check_theorem3(g: Multigraph) -> Verdict:
     """Superstable graphs omitting 3 but containing some m > 3 in their
     cyclic Betti numbers must be the fat-triangle (with b1 = 4)."""
-    if not is_superstable(g):
-        raise NotSuperstableError("theorem check needs a superstable graph")
-    return _theorem3_verdict(betti_profile(g), classify(g))
+    return check_theorems(g)[1]
 
 
 def check_theorems(g: Multigraph) -> Tuple[Verdict, Verdict]:
     """The verdicts of :func:`check_theorem2` and :func:`check_theorem3`,
-    from one betti_profile and one classify of g."""
+    from one betti_profile and one classify of g.
+
+    The loop has b1 = 1, the tetrahedron b1 = 3 and the fat triangle
+    b1 = 4, so once a hypothesis holds the class alone decides the
+    conclusion.
+    """
     if not is_superstable(g):
         raise NotSuperstableError("theorem check needs a superstable graph")
     profile, cls = betti_profile(g), classify(g)
-    return _theorem2_verdict(profile, cls), _theorem3_verdict(profile, cls)
+    if 2 not in profile:
+        theorem2 = Verdict(cls in ("split", "loop", "tetrahedron"), cls, hypothesis_exercised=True)
+    else:
+        theorem2 = Verdict(True, cls, witness=profile[2][1])
+    if 3 not in profile and any(m > 3 for m in profile):
+        theorem3 = Verdict(cls == "fat_triangle", cls, hypothesis_exercised=True)
+    else:
+        theorem3 = Verdict(True, cls, witness=profile[3][1] if 3 in profile else None)
+    return theorem2, theorem3

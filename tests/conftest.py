@@ -268,6 +268,44 @@ def counter_order_oracle(basis: Sequence[int]) -> List[int]:
     return out
 
 
+def cycle_basis_oracle(g: Multigraph) -> Tuple[int, List[int]]:
+    """The lowest-index spanning forest and the fundamental cycles, as
+    bitmasks: a greedy scan keeps each edge that joins two trees (trees
+    tracked by a vertex label, relabelled on every merge), and each other
+    edge, in index order, gives itself plus its BFS path in that forest."""
+    label = list(range(g.vertex_count))
+    forest: List[int] = []
+    rest: List[int] = []
+    for eid, (a, b) in enumerate(g.edges):
+        if label[a] == label[b]:
+            rest.append(eid)
+        else:
+            old, new = label[a], label[b]
+            label = [new if x == old else x for x in label]
+            forest.append(eid)
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for eid in forest:
+        a, b = g.edges[eid]
+        adj[a].append((b, eid))
+        adj[b].append((a, eid))
+    vectors = []
+    for eid in rest:
+        a, b = g.edges[eid]
+        via = {a: None}  # vertex -> (previous vertex, forest edge)
+        queue = [a]
+        for u in queue:
+            for w, fid in adj[u]:
+                if w not in via:
+                    via[w] = (u, fid)
+                    queue.append(w)
+        bits = 1 << eid
+        while via[b] is not None:
+            b, fid = via[b]
+            bits |= 1 << fid
+        vectors.append(bits)
+    return sum(1 << eid for eid in forest), vectors
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260823)

@@ -151,6 +151,15 @@ class TestCap:
                 call()
             assert exc.value.betti == 31
 
+    def test_refused_on_the_call(self):
+        """The iterators refuse on the call itself, not on the first next()."""
+        g = split_graph(32)  # b1 = 31
+        x = CurveDualGraph(g, (0, 0))
+        for call in (cyclic_sets, even_sets, even_set_supports):
+            with pytest.raises(CapExceededError) as exc:
+                call(g if call is cyclic_sets else x)
+            assert exc.value.betti == 31
+
     def test_explicit_cap(self, monkeypatch):
         """The cap is read from the module constant on every call."""
         monkeypatch.setattr(cycles, "ENUMERATION_CAP", 4)

@@ -4,11 +4,14 @@ Every file command (``analyze``, ``spin``, ``classify``, ``evensets``), in
 text and ``--json``, is run on each demo curve and on three curves built
 here; the sha256 of its exit status, stdout and stderr is pinned.  A change
 to a fast path that alters any printed byte, the order of the even sets
-included, fails here.  Also runs ``perfbench/selftest.py``, whose oracles
-reject any JSON shape the benchmark would not accept.
+included, fails here.  ``verify 6`` is pinned the same way, with its elapsed
+times masked, so a change to enumeration or to the theorem verdicts that
+alters a printed byte fails too.  Also runs ``perfbench/selftest.py``, whose
+oracles reject any JSON shape the benchmark would not accept.
 """
 
 import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +301,24 @@ def test_every_command_prints_the_pinned_bytes(tmp_path, capsys):
                 argv = (["--json"] if fmt == "json" else []) + [command, str(path)]
                 got[f"{name} {command} {fmt}"] = _digest(argv, capsys)
     assert got == GOLDEN
+
+
+# sha256 of "status\0stdout\0stderr" of ``verify 6``, elapsed times masked
+VERIFY_GOLDEN = {
+    "text": "578090adbad3688f4e893016ccc8970cdb6787cca5a22d98f2d2b4db0431a593",
+    "json": "1c0616aa732a4b220b4ab8b2614b1f864a228702d85b67cd6ae04bb547f7cb01",
+}
+ELAPSED = re.compile(r'(\(|"elapsed_seconds": )[0-9.e-]+')
+
+
+def test_verify_prints_the_pinned_bytes(capsys):
+    got = {}
+    for fmt in ("text", "json"):
+        status = main((["--json"] if fmt == "json" else []) + ["verify", "6"])
+        out, err = capsys.readouterr()
+        out = ELAPSED.sub(lambda m: m.group(1) + "X", out)
+        got[fmt] = hashlib.sha256(f"{status}\0{out}\0{err}".encode()).hexdigest()
+    assert got == VERIFY_GOLDEN
 
 
 def test_perfbench_selftest_passes():

@@ -267,6 +267,13 @@ class TestCli:
         assert data["theorem2"]["violations"] == 0
         assert data["theorem3"]["violations"] == 0
 
+    def test_verify_past_the_enumeration_bound(self, capsys):
+        """verify admits the enumerator's bound, MAX_ENUM_EDGES = 10, and
+        refuses 11 with an error line."""
+        assert main(["verify", "11"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: max_edges must be in 1..10\n"
+
     def test_verify_names_the_k33_violation(self, capsys):
         assert main(["--json", "verify", "9"]) == 1
         data = json.loads(capsys.readouterr().out)

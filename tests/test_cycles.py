@@ -19,6 +19,7 @@ from spincomb.errors import CapExceededError, NotCyclicError
 
 from conftest import (
     count_components,
+    cycle_basis_oracle,
     even_subset_bits_oracle,
     fat_triangle,
     in_gf2_span,
@@ -26,7 +27,10 @@ from conftest import (
     path_graph,
     random_connected_graph,
     random_graph,
+    random_multigraph,
+    random_tree,
     split_graph,
+    subdivided,
     subgraph_betti_oracle,
     tetrahedron,
 )
@@ -102,6 +106,26 @@ class TestCycleBasis:
                     if j != i:
                         others |= other
                 assert bits & ~others
+
+
+    def test_forest_and_vectors_match_oracle(self, rng):
+        """Forest and every vector, in order, equal a greedy forest scan
+        with BFS paths (no test before pinned the exact vectors)."""
+        graphs = [random_graph(rng) for _ in range(150)]
+        graphs += [random_multigraph(rng, rng.randint(0, 14)) for _ in range(150)]
+        graphs += [random_tree(rng, 10) for _ in range(30)]
+        graphs += [subdivided(random_connected_graph(rng), rng) for _ in range(100)]
+        # 300 vertices, mostly tree: long forest paths through deep unions
+        nu = 300
+        edges = [(rng.randrange(v), v) for v in range(1, nu)]
+        edges += [tuple(sorted((rng.randrange(nu), rng.randrange(nu)))) for _ in range(20)]
+        rng.shuffle(edges)
+        graphs.append(build_graph(nu, edges))
+        for g in graphs:
+            basis = cycle_basis(g)
+            forest, vectors = cycle_basis_oracle(g)
+            assert basis.spanning_forest.bits == forest
+            assert [v.bits for v in basis.basis_vectors] == vectors
 
 
 class TestCyclicSets:

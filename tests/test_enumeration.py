@@ -13,19 +13,23 @@ from spincomb import (
     enumerate_multigraphs,
     is_superstable,
     separating_edges,
-    check_theorem2,
-    check_theorem3,
+    check_theorems,
+    classify,
     sweep_theorem2,
     sweep_theorem3,
     sweep_theorems,
 )
 from spincomb import enumeration
 from spincomb.errors import TooLargeError
-from spincomb.graphs import Multigraph
+from spincomb.graphs import EdgeSubset, Multigraph
+from spincomb.transforms import Verdict
 
 from conftest import (
     bridge_oracle,
     count_components,
+    counter_order_oracle,
+    cycle_basis_oracle,
+    dict_union_find_betti,
     fat_triangle,
     loop_graph,
     random_connected_graph,
@@ -187,6 +191,14 @@ class TestEnumerate:
         before = enumeration._connected_classes.cache_info()
         with pytest.raises(TooLargeError):
             list(enumerate_multigraphs(8, connected=connected))
+        after = enumeration._connected_classes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_refused_on_the_call(self):
+        """The refusal comes from the call itself, not the first next()."""
+        before = enumeration._connected_classes.cache_info()
+        with pytest.raises(TooLargeError):
+            enumerate_multigraphs(8)
         after = enumeration._connected_classes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -378,17 +390,40 @@ class TestSweeps:
 
     @pytest.mark.parametrize("max_edges", [6, 8])
     def test_one_pass_equals_separate_sweeps(self, max_edges):
-        """Both reports of the one pass match a sweep per theorem that calls
-        check_theorem2 or check_theorem3 on each class."""
+        """Both reports of the one pass, and the sweep per theorem, match the
+        theorem rules applied here to an independent B (the oracle basis in
+        counter order, each set's b1 by a dict union-find) and the class
+        from classify; each class's verdicts, witnesses included, too."""
         classes = list(enumerate_multigraphs(max_edges, superstable=True))
         reports = sweep_theorems(max_edges)
         separate = (sweep_theorem2(max_edges), sweep_theorem3(max_edges))
-        for report, alone, check in zip(reports, separate, (check_theorem2, check_theorem3)):
-            verdicts = [check(g) for g in classes]
-            exercised = sum(v.hypothesis_exercised for v in verdicts)
+        verdicts: tuple = ([], [])
+        for g in classes:
+            sets = counter_order_oracle(cycle_basis_oracle(g)[1])
+            first = {}
+            for bits in sets:
+                first.setdefault(dict_union_find_betti(g, bits), bits)
+            cls = classify(g)
+
+            def vacuous(m):
+                witness = EdgeSubset(first[m], g.edge_count) if m in first else None
+                return Verdict(True, cls, witness=witness)
+
+            if 2 in first:
+                verdicts[0].append(vacuous(2))
+            else:
+                ok = cls in ("split", "loop", "tetrahedron")
+                verdicts[0].append(Verdict(ok, cls, hypothesis_exercised=True))
+            if 3 in first or max(first) <= 3:
+                verdicts[1].append(vacuous(3))
+            else:
+                verdicts[1].append(Verdict(cls == "fat_triangle", cls, hypothesis_exercised=True))
+            assert check_theorems(g) == (verdicts[0][-1], verdicts[1][-1])
+        for report, alone, want_verdicts in zip(reports, separate, verdicts):
+            exercised = sum(v.hypothesis_exercised for v in want_verdicts)
             violations = tuple(
                 (canonical_form(g).canonical_key, v)
-                for g, v in zip(classes, verdicts)
+                for g, v in zip(classes, want_verdicts)
                 if not v.holds
             )
             want = (len(classes), exercised, len(classes) - exercised, violations)
@@ -400,3 +435,8 @@ class TestSweeps:
                     got.violations,
                 ) == want
         assert reports[0].elapsed == reports[1].elapsed
+
+    @pytest.mark.parametrize("max_edges", [0, enumeration.MAX_ENUM_EDGES + 1])
+    def test_sweep_admits_the_enumeration_bound(self, max_edges):
+        with pytest.raises(TooLargeError):
+            sweep_theorems(max_edges)
