@@ -2,7 +2,8 @@
 
 Basis construction, membership, enumeration of all cyclic (= even) edge
 sets, the one-pass profile of their Betti numbers and the set of them, the
-eulerian test and circuit decomposition.
+eulerian test and circuit decomposition.  The b1 of each cyclic set comes
+from one loop, :func:`_betti_pass`.
 """
 
 from __future__ import annotations
@@ -205,15 +206,25 @@ def _series_classes(
     return pairs, masks, len(label), packed
 
 
-def _series_setup(
-    g: Multigraph,
-) -> Tuple[List[int], List[int], List[List[Tuple[Edge, ...]]], int, List[int]]:
-    """What a pass over the cycle space in series-class coordinates needs:
-    the basis in edge and in class coordinates, the chunk tables over the
-    class pairs, the vertex count they use and the class edge masks."""
+def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
+    """The cycle basis, cap-checked on the call, and the b1 of every cyclic
+    set in the order of :func:`cyclic_sets`, computed as it is read: the
+    sets run over the series classes (see :func:`_series_classes`), and a
+    union-find over the class end vertices counts each b1."""
     basis = _basis_bits(g)
-    pairs, masks, n, packed = _series_classes(g, basis)
-    return basis, packed, _chunk_tables(tuple(pairs)), n, masks
+    pairs, _, n, packed = _series_classes(g, basis)
+
+    # arguments, not closure cells: the loop reads them as fast locals
+    def bettis(tables: List[List[Tuple[Edge, ...]]], base: List[int], mask: int) -> Iterator[int]:
+        for rest in _counter_order(packed):
+            parent = base[:]
+            n1 = 0
+            for table in tables:
+                n1 += _closing_edges(parent, table[rest & mask])
+                rest >>= _CHUNK
+            yield n1
+
+    return basis, bettis(_chunk_tables(tuple(pairs)), list(range(n)), (1 << _CHUNK) - 1)
 
 
 def betti_profile(g: Multigraph) -> Dict[int, Tuple[int, EdgeSubset]]:
@@ -221,54 +232,31 @@ def betti_profile(g: Multigraph) -> Dict[int, Tuple[int, EdgeSubset]]:
 
     Maps each m in B, in increasing order, to the number of cyclic sets D
     with b1(D) = m and the first such D in the order of :func:`cyclic_sets`.
-    The sets are enumerated over the series classes of the edges on some
-    cycle (see :func:`_series_classes`), with bit i standing for class i,
-    and only the first sets are mapped back to edge indices.
+    Only the counter index of each first set is kept; set k is the XOR of
+    the basis vectors at the set bits of k.
     """
-    _, packed, tables, n, masks = _series_setup(g)
-    base = list(range(n))
-    mask = (1 << _CHUNK) - 1
+    basis, bettis = _betti_pass(g)
     counts: Dict[int, int] = {}
     first: Dict[int, int] = {}
-    for bits in _counter_order(packed):
-        parent = base[:]
-        n1 = 0
-        rest = bits
-        for table in tables:
-            n1 += _closing_edges(parent, table[rest & mask])
-            rest >>= _CHUNK
+    for n1 in bettis:
         if n1 in counts:
             counts[n1] += 1
         else:
+            first[n1] = sum(counts.values())
             counts[n1] = 1
-            first[n1] = bits
     width = g.edge_count
 
-    def unpacked(bits: int) -> EdgeSubset:
-        return EdgeSubset(sum(m for i, m in enumerate(masks) if bits >> i & 1), width)
+    def set_at(k: int) -> EdgeSubset:
+        return EdgeSubset(reduce(xor, (v for i, v in enumerate(basis) if k >> i & 1), 0), width)
 
-    return {m: (counts[m], unpacked(first[m])) for m in sorted(counts)}
+    return {m: (counts[m], set_at(first[m])) for m in sorted(counts)}
 
 
 def _betti_sets(g: Multigraph) -> Iterator[Tuple[int, int]]:
-    """Every cyclic set as (edge bits, b1), in the order of :func:`cyclic_sets`:
-    the pass of :func:`betti_profile`, with the counter stepped in edge and
-    in class coordinates side by side.  The setup, and so the cap check,
-    runs on the call; the pass runs as the sets are read."""
-    basis, packed, tables, n, _ = _series_setup(g)
-    base = list(range(n))
-    mask = (1 << _CHUNK) - 1
-
-    def sets() -> Iterator[Tuple[int, int]]:
-        for bits, rest in zip(_counter_order(basis), _counter_order(packed)):
-            parent = base[:]
-            n1 = 0
-            for table in tables:
-                n1 += _closing_edges(parent, table[rest & mask])
-                rest >>= _CHUNK
-            yield bits, n1
-
-    return sets()
+    """Every cyclic set as (edge bits, b1), in the order of :func:`cyclic_sets`;
+    the cap check runs on the call, the pass as the sets are read."""
+    basis, bettis = _betti_pass(g)
+    return zip(_counter_order(basis), bettis)
 
 
 def cyclic_betti_set(g: Multigraph) -> frozenset:

@@ -25,7 +25,8 @@ admits D up to ``MAX_ENUM_EDGES`` with ``superstable`` and up to
 ``MAX_COMPONENT_VERTICES - 1`` without, refuses every other bound on the
 call, before any build, and returns every class of a bound it admits.  The
 theorem sweeps admit exactly its superstable bounds: ``MAX_ENUM_EDGES`` is
-the one bound of this module.
+the one bound of this module.  Every class is yielded as its canonical
+form: ``g.edges == canonical_form(g).canonical_key``.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ def enumerate_multigraphs(
     connected: bool = False,
     superstable: bool = False,
 ) -> Iterator[Multigraph]:
-    """One representative per isomorphism class with at most max_edges edges,
-    in the order (vertex count, edge count, canonical key).
+    """The canonical form of every isomorphism class with at most max_edges
+    edges, in the order (vertex count, edge count, canonical key).
 
     max_edges must be in 1..MAX_ENUM_EDGES with ``superstable`` and in
     1..MAX_COMPONENT_VERTICES - 1 without it (a tree with max_edges edges
@@ -243,9 +244,8 @@ def _classes(max_edges: int, connected: bool, superstable: bool) -> Iterator[Mul
                 unions(i, budget - c.edge_count, acc + [c])
 
         unions(0, max_edges, [])
-    results.sort(key=_sort_key)
-    for parts in results:
-        yield _disjoint_union(parts)
+    for n, _, key in sorted(map(_sort_key, results)):
+        yield Multigraph(n, key)
 
 
 def _sort_key(parts: List[Multigraph]) -> Tuple[int, int, Key]:
@@ -257,15 +257,6 @@ def _sort_key(parts: List[Multigraph]) -> Tuple[int, int, Key]:
         sum(p[1] for p in pieces),
         _join(pieces),
     )
-
-
-def _disjoint_union(graphs: List[Multigraph]) -> Multigraph:
-    edges: List[Edge] = []
-    offset = 0
-    for g in graphs:
-        edges.extend((a + offset, b + offset) for a, b in g.edges)
-        offset += g.vertex_count
-    return Multigraph(offset, tuple(edges))
 
 
 def sweep_theorems(max_edges: int) -> Tuple[SweepReport, SweepReport]:
@@ -287,7 +278,7 @@ def sweep_theorems(max_edges: int) -> Tuple[SweepReport, SweepReport]:
             if verdict.hypothesis_exercised:
                 exercised[i] += 1
             if not verdict.holds:
-                violations[i].append((canonical_form(g).canonical_key, verdict))
+                violations[i].append((g.edges, verdict))
     elapsed = time.perf_counter() - start
     return tuple(
         SweepReport(

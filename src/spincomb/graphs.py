@@ -113,7 +113,10 @@ class ZeroChain:
 
 
 def build_graph(vertex_count: int, edge_pairs: Sequence[Edge]) -> Multigraph:
-    """Validated constructor: rejects bad indices and isolated vertices."""
+    """Validated constructor: rejects bad indices and isolated vertices.
+
+    The one exception is the graph of one vertex and no edge, the dual graph
+    of a smooth curve."""
     if vertex_count < 0:
         raise BadIndexError(vertex_count, 0)
     touched = [False] * vertex_count
@@ -125,7 +128,7 @@ def build_graph(vertex_count: int, edge_pairs: Sequence[Edge]) -> Multigraph:
         touched[a] = touched[b] = True
         edges.append((a, b) if a <= b else (b, a))
     for v, seen in enumerate(touched):
-        if not seen:
+        if not seen and vertex_count > 1:
             raise IsolatedVertexError(v)
     return Multigraph(vertex_count, tuple(edges))
 

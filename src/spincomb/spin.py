@@ -168,7 +168,11 @@ def _support(delta: EdgeSubset, n1: int, b: int, p: int) -> SupportDescription:
 
 def check_corollary_split(x: CurveDualGraph) -> Verdict:
     """If the spin scheme has a multiplicity-2^g component and none of
-    multiplicity 2^(g-2), the curve is split or the genus-3 polygonal curve."""
+    multiplicity 2^(g-2), the curve is split or the genus-3 polygonal curve.
+
+    No genus bound or stability hypothesis is applied, as the abstract of
+    the paper states none, so an unstable curve is judged too: the genus-1
+    rational curve with one node (one genus-0 loop vertex) fails as a loop."""
     g = curve_genus(x)
     exponents = multiplicity_set(x)
     exercised = g in exponents and (g - 2) not in exponents

@@ -6,12 +6,13 @@ lists; the tests check them against a search over all vertex permutations
 (the oracle ``are_isomorphic`` in ``tests/conftest.py``).  The rules of
 both theorems, and their superstable precondition, live in
 :func:`check_theorems` alone; :func:`check_theorem2` and
-:func:`check_theorem3` read one verdict each from it.
+:func:`check_theorem3` read one verdict each from it.  The tests check
+:func:`superstable_reduction`, which takes the lowest applicable vertex,
+against a reducer that takes a random one (``tests/conftest.py``).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -119,15 +120,13 @@ def is_superstable(g: Multigraph) -> bool:
     return all(d >= 3 or (d == 2 and loop[v]) for v, d in enumerate(val))
 
 
-def superstable_reduction(
-    g: Multigraph, rng: Optional[random.Random] = None
-) -> Multigraph:
-    """Apply operations 1 and 2 until the graph is superstable.
+def superstable_reduction(g: Multigraph) -> Multigraph:
+    """Apply operations 1 and 2 until the graph is superstable, each time at
+    the lowest vertex one applies to.
 
     Requires b1 >= 1 on every connected component; a tree component would
-    reduce to nothing.  With ``rng`` the applicable operation is chosen at
-    random, for order-insensitivity testing; the result is unique up to
-    isomorphism either way.
+    reduce to nothing.  The result is unique up to isomorphism whatever the
+    order of the operations.
     """
     for block in connected_components(g):
         vs = set(block)
@@ -136,10 +135,9 @@ def superstable_reduction(
             raise VanishingComponentError(f"component {block} is a tree")
     while True:
         val, loop = _valencies(g)
-        candidates = [v for v, d in enumerate(val) if d == 1 or d == 2 and not loop[v]]
-        if not candidates:
+        v = next((v for v, d in enumerate(val) if d == 1 or d == 2 and not loop[v]), None)
+        if v is None:
             return g
-        v = candidates[0] if rng is None else rng.choice(candidates)
         g = eliminate_valency1(g, v) if val[v] == 1 else smooth_valency2(g, v)
 
 

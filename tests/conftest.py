@@ -13,7 +13,13 @@ from typing import List, Sequence, Tuple
 
 import pytest
 
-from spincomb import Multigraph, build_graph, valency
+from spincomb import (
+    Multigraph,
+    build_graph,
+    eliminate_valency1,
+    smooth_valency2,
+    valency,
+)
 
 Edge = Tuple[int, int]
 
@@ -250,6 +256,23 @@ def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
         if mapped == target:
             return True
     return False
+
+
+def random_order_reduction(g: Multigraph, rng: random.Random) -> Multigraph:
+    """Operations 1 and 2 at a random applicable vertex, by the per-vertex
+    valency, until none applies: the order-insensitivity oracle for
+    superstable_reduction, which always takes the lowest vertex."""
+    while True:
+        candidates = [
+            v
+            for v in range(g.vertex_count)
+            if valency(g, v) == 1
+            or valency(g, v) == 2 and not any(a == b == v for a, b in g.edges)
+        ]
+        if not candidates:
+            return g
+        v = rng.choice(candidates)
+        g = eliminate_valency1(g, v) if valency(g, v) == 1 else smooth_valency2(g, v)
 
 
 def counter_order_oracle(basis: Sequence[int]) -> List[int]:

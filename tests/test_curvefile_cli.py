@@ -191,6 +191,56 @@ def split_path(tmp_path):
     return str(path)
 
 
+class TestSmoothCurve:
+    """One component and no node: the generic stable curve, here of genus 2."""
+
+    @pytest.fixture
+    def smooth_path(self, tmp_path):
+        path = tmp_path / "smooth.curve"
+        path.write_text("v c genus=2\n")
+        return str(path)
+
+    def test_analyze(self, smooth_path, capsys):
+        assert main(["--json", "analyze", smooth_path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["vertex_count"], data["edge_count"], data["betti_number"]) == (1, 0, 0)
+        assert data["cyclic_betti_set"] == [0]
+        assert data["separating_edges"] == [] and data["separating_vertices"] == []
+
+    def test_spin(self, smooth_path, capsys):
+        assert main(["--json", "spin", smooth_path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["b"], data["p"], data["genus"]) == (0, 2, 2)
+        assert data["component_count"] == 16
+        assert data["multiplicity_multiset"] == {"0": 16}
+        assert data["length"] == 16 == 2 ** (2 * data["genus"])
+        assert main(["spin", smooth_path]) == 0
+        assert "length:               16 (2^4)" in capsys.readouterr().out
+
+    def test_classify(self, smooth_path, capsys):
+        assert main(["--json", "classify", smooth_path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert not data["superstable"]
+        assert data["theorem2"] is None and data["theorem3"] is None
+        assert main(["classify", smooth_path]) == 0
+        out = capsys.readouterr().out
+        assert "theorem 2: not applicable (graph has no superstable core)" in out
+
+    def test_evensets(self, smooth_path, capsys):
+        assert main(["--json", "evensets", smooth_path]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["count"] == 1
+        assert data["even_sets"] == [
+            {
+                "betti": 0,
+                "blown_up_count": 0,
+                "edges": [],
+                "multiplicity_exponent": 0,
+                "point_count": 16,
+            }
+        ]
+
+
 class TestCli:
     def test_analyze_text(self, split_path, capsys):
         assert main(["analyze", split_path]) == 0

@@ -261,6 +261,20 @@ class TestEnumerate:
             ]
             assert keys == sorted(set(keys))
 
+    @pytest.mark.parametrize("connected", [True, False])
+    @pytest.mark.parametrize("max_edges, superstable", [(6, False), (9, True)])
+    def test_every_class_is_its_canonical_form(self, max_edges, superstable, connected):
+        """Each class comes labelled as its canonical form, so a caller can
+        read its key off ``g.edges``; the order is the strictly increasing
+        (vertex count, edge count, canonical key)."""
+        got = list(
+            enumerate_multigraphs(max_edges, connected=connected, superstable=superstable)
+        )
+        for g in got:
+            assert g.edges == canonical_form(g).canonical_key
+        keys = [(g.vertex_count, g.edge_count, g.edges) for g in got]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
 
 def _deficit_oracle(g):
     val = [0] * g.vertex_count

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from spincomb import (
     EdgeSubset,
+    Multigraph,
     betti_number,
     build_graph,
     connected_components,
@@ -42,6 +43,13 @@ class TestBuildGraph:
         with pytest.raises(IsolatedVertexError) as exc:
             build_graph(3, [(0, 1)])
         assert exc.value.vertex == 2
+
+    def test_one_vertex_without_edges_accepted(self):
+        """The dual graph of a smooth curve; other edgeless vertices raise."""
+        assert build_graph(1, []) == Multigraph(1, ())
+        with pytest.raises(IsolatedVertexError) as exc:
+            build_graph(2, [])
+        assert exc.value.vertex == 0
 
     def test_bad_index_rejected(self):
         with pytest.raises(BadIndexError):
