@@ -6,13 +6,22 @@ lists; the tests check them against a search over all vertex permutations
 (the oracle ``are_isomorphic`` in ``tests/conftest.py``).  The rules of
 both theorems, and their superstable precondition, live in
 :func:`check_theorems` alone; :func:`check_theorem2` and
-:func:`check_theorem3` read one verdict each from it.  The tests check
-:func:`superstable_reduction`, which takes the lowest applicable vertex,
-against a reducer that takes a random one (``tests/conftest.py``).
+:func:`check_theorem3` read one verdict each from it.
+
+:func:`eliminate_valency1`, :func:`smooth_valency2` and
+:func:`contract_separating_edge` are the single-step operations; each
+builds a new graph.  :func:`superstable_reduction` applies the first two
+in one heap pass, without building a graph per step, always at the lowest
+applicable vertex.  The tests check it against the loop that applies the
+single steps in that order (``lowest_first_reduction``: the same labels
+and edge order) and against one that applies them at random vertices
+(``random_order_reduction``: the same graph up to isomorphism), both in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -125,20 +134,79 @@ def superstable_reduction(g: Multigraph) -> Multigraph:
     the lowest vertex one applies to.
 
     Requires b1 >= 1 on every connected component; a tree component would
-    reduce to nothing.  The result is unique up to isomorphism whatever the
-    order of the operations.
+    reduce to nothing, and is refused before any operation.  The result is
+    unique up to isomorphism whatever the order of the operations; this
+    order fixes it exactly.  The surviving vertices keep their relative
+    order and are relabelled 0, 1, ...; the surviving edges of g keep
+    theirs, and each merged edge follows them in order of creation.  A
+    graph that is already superstable is returned as it is.
+
+    One pass in O((n + m) log n): valencies and incidence sets are built
+    once, and a heap holds the applicable vertices, each re-checked when it
+    is popped.  An operation changes only its vertex's neighbours (at most
+    two), which go back on the heap.
     """
-    for block in connected_components(g):
-        vs = set(block)
-        comp_edges = sum(1 for a, b in g.edges if a in vs)
-        if comp_edges - len(block) + 1 == 0:
+    blocks = connected_components(g)
+    component = [0] * g.vertex_count
+    for i, block in enumerate(blocks):
+        for v in block:
+            component[v] = i
+    b1 = [1 - len(block) for block in blocks]
+    for a, _ in g.edges:
+        b1[component[a]] += 1
+    for block, rank in zip(blocks, b1):
+        if rank == 0:
             raise VanishingComponentError(f"component {block} is a tree")
-    while True:
-        val, loop = _valencies(g)
-        v = next((v for v, d in enumerate(val) if d == 1 or d == 2 and not loop[v]), None)
-        if v is None:
-            return g
-        g = eliminate_valency1(g, v) if val[v] == 1 else smooth_valency2(g, v)
+    # A removed vertex gets valency 0; loops are never removed, since
+    # neither operation applies at the vertex of one.
+    val, loop = _valencies(g)
+
+    def applicable(v: int) -> bool:  # the complement of is_superstable's rule
+        return val[v] == 1 or val[v] == 2 and not loop[v]
+
+    heap = [v for v in range(len(val)) if applicable(v)]
+    if not heap:
+        return g
+    edges: List[Optional[Tuple[int, int]]] = list(g.edges)
+    incident: List[set] = [set() for _ in val]
+    for eid, (a, b) in enumerate(edges):
+        incident[a].add(eid)
+        incident[b].add(eid)
+    while heap:
+        v = heapq.heappop(heap)
+        if not applicable(v):
+            continue  # removed, or changed since it was pushed
+        d, val[v] = val[v], 0
+        far = []
+        for eid in incident[v]:
+            a, b = edges[eid]
+            u = b if a == v else a
+            incident[u].discard(eid)
+            edges[eid] = None
+            far.append(u)
+        if d == 1:  # operation 1: the neighbour loses the edge
+            val[far[0]] -= 1
+        else:  # operation 2: the two edges become one, valencies unchanged
+            u, w = sorted(far)
+            incident[u].add(len(edges))
+            incident[w].add(len(edges))
+            edges.append((u, w))
+            if u == w:  # two parallel edges merge into a loop
+                loop[u] = True
+        for u in far:
+            if applicable(u):
+                heapq.heappush(heap, u)
+    label = [0] * len(val)
+    survivors = [v for v, d in enumerate(val) if d]
+    for i, v in enumerate(survivors):
+        label[v] = i
+    return Multigraph(
+        len(survivors),
+        tuple(
+            (min(label[a], label[b]), max(label[a], label[b]))
+            for a, b in filter(None, edges)
+        ),
+    )
 
 
 _LOOP = Multigraph(1, ((0, 0),))

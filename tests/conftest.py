@@ -16,10 +16,13 @@ import pytest
 from spincomb import (
     Multigraph,
     build_graph,
+    connected_components,
     eliminate_valency1,
     smooth_valency2,
     valency,
 )
+from spincomb.errors import VanishingComponentError
+from spincomb.graphs import _valencies
 
 Edge = Tuple[int, int]
 
@@ -119,6 +122,29 @@ def subdivided(g: Multigraph, rng: random.Random, most: int = 3) -> Multigraph:
         n += k
         edges.extend(zip(path, path[1:]))
     rng.shuffle(edges)
+    return build_graph(n, edges)
+
+
+def with_pendant_trees(g: Multigraph, rng: random.Random, most: int = 4) -> Multigraph:
+    """g with 0..most new vertices, each hung by one edge on an earlier
+    vertex (so the new ones grow trees on g), then the vertex labels and the
+    edge order shuffled."""
+    added = rng.randint(0, most)
+    edges = list(g.edges)
+    edges += [(rng.randrange(v), v) for v in range(g.vertex_count, g.vertex_count + added)]
+    n = g.vertex_count + added
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rng.shuffle(edges)
+    return build_graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def cycle_with_pendant_trees(n: int, rng: random.Random) -> Multigraph:
+    """A cycle through the first n // 3 vertices; every later vertex hangs
+    by one edge on a random earlier one.  b1 = 1: it reduces to the loop."""
+    k = n // 3
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(rng.randrange(v), v) for v in range(k, n)]
     return build_graph(n, edges)
 
 
@@ -256,6 +282,24 @@ def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
         if mapped == target:
             return True
     return False
+
+
+def lowest_first_reduction(g: Multigraph) -> Multigraph:
+    """Operations 1 and 2 at the lowest applicable vertex, one whole graph
+    rebuilt per operation and every valency swept again after it, until none
+    applies: the exact-output oracle for superstable_reduction (same labels,
+    same edge order, same refusal of a tree component)."""
+    for block in connected_components(g):
+        vs = set(block)
+        comp_edges = sum(1 for a, b in g.edges if a in vs)
+        if comp_edges - len(block) + 1 == 0:
+            raise VanishingComponentError(f"component {block} is a tree")
+    while True:
+        val, loop = _valencies(g)
+        v = next((v for v, d in enumerate(val) if d == 1 or d == 2 and not loop[v]), None)
+        if v is None:
+            return g
+        g = eliminate_valency1(g, v) if val[v] == 1 else smooth_valency2(g, v)
 
 
 def random_order_reduction(g: Multigraph, rng: random.Random) -> Multigraph:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -22,7 +23,12 @@ from spincomb import (
 from spincomb.cli import _refuse_unprintable, main
 from spincomb.errors import DuplicateNameError, ParseError, UnknownVertexError
 
-from conftest import are_isomorphic, fat_triangle, random_connected_graph
+from conftest import (
+    are_isomorphic,
+    cycle_with_pendant_trees,
+    fat_triangle,
+    random_connected_graph,
+)
 
 SPLIT_G3 = """\
 # split curve of genus 3: two smooth components glued at four nodes
@@ -298,6 +304,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "superstable:   no (theorems checked on the reduced graph)" in out
         assert "theorem 2: holds (exercised, classification=loop)" in out
+
+    def test_classify_reduces_a_large_curve(self, tmp_path, capsys):
+        """4,500 components, 3,000 of them on pendant trees: the reduction
+        is one heap pass, so classify answers at once."""
+        g = cycle_with_pendant_trees(4500, random.Random(3))
+        path = tmp_path / "pendant.curve"
+        path.write_text(format_curve_file(CurveDualGraph(g, (0,) * g.vertex_count)))
+        assert main(["--json", "classify", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["via_reduction"] is True and data["superstable"] is False
+        assert data["theorem2"]["classification"] == "loop"
 
     def test_evensets(self, split_path, capsys):
         assert main(["--json", "evensets", split_path]) == 0

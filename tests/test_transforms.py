@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 
@@ -9,6 +11,7 @@ from spincomb import (
     check_theorem2,
     check_theorem3,
     classify,
+    connected_components,
     contract_separating_edge,
     cyclic_betti_set,
     eliminate_valency1,
@@ -33,14 +36,20 @@ from spincomb.errors import (
 
 from conftest import (
     are_isomorphic,
+    cycle_with_pendant_trees,
     fat_triangle,
     loop_graph,
+    lowest_first_reduction,
     path_graph,
+    random_graph,
+    random_multigraph,
     random_order_reduction,
     relabeled,
     split_graph,
+    subdivided,
     tetrahedron,
     triangle,
+    with_pendant_trees,
 )
 
 
@@ -221,24 +230,54 @@ class TestSuperstableReduction:
         with pytest.raises(VanishingComponentError):
             superstable_reduction(path_graph(3))
 
+    def test_tree_beside_a_cycle_rejected_like_the_oracle(self):
+        g = _disjoint_union(triangle(), path_graph(3), loop_graph())
+        with pytest.raises(VanishingComponentError) as got:
+            superstable_reduction(g)
+        with pytest.raises(VanishingComponentError) as want:
+            lowest_first_reduction(g)
+        assert str(got.value) == str(want.value) == "component [3, 4, 5] is a tree"
+
     def test_same_graph_as_per_vertex_scan(self):
-        """The lowest applicable vertex is reduced first: the result is the very graph a per-vertex valency scan produces."""
-
-        def scan_reduction(g):
-            while True:
-                for v in range(g.vertex_count):
-                    val = valency(g, v)
-                    if val == 1:
-                        g = eliminate_valency1(g, v)
-                        break
-                    if val == 2 and not any(a == b == v for a, b in g.edges):
-                        g = smooth_valency2(g, v)
-                        break
-                else:
-                    return g
-
+        """The lowest applicable vertex is reduced first: the result is the
+        very graph, labels and edge order, that the oracle rebuilding the
+        graph after each operation produces."""
         for g in _reduction_corpus():
-            assert superstable_reduction(g) == scan_reduction(g)
+            assert superstable_reduction(g) == lowest_first_reduction(g)
+
+    def test_same_output_as_lowest_first_oracle(self):
+        """Labels, edge order and refusals equal the oracle's on random,
+        subdivided and pendant-tree graphs, several components included."""
+        rng = random.Random(11)
+        refused = reduced = 0
+        for i in range(2400):
+            g = random_multigraph(rng, rng.randint(1, 9), max_vertices=9)
+            if i % 4 == 1:
+                g = subdivided(g, rng)
+            elif i % 4 == 2:
+                g = with_pendant_trees(subdivided(g, rng), rng)
+            elif i % 4 == 3:
+                g = with_pendant_trees(random_graph(rng, max_b1=4), rng)
+            try:
+                want = lowest_first_reduction(g)
+            except VanishingComponentError as e:
+                with pytest.raises(VanishingComponentError, match=re.escape(str(e))):
+                    superstable_reduction(g)
+                refused += 1
+                continue
+            assert superstable_reduction(g) == want
+            reduced += want != g
+        assert refused > 200 and reduced > 1000
+
+    def test_scale_cycle_with_pendant_trees(self):
+        """One heap pass: 4,500 vertices (3,000 of them on pendant trees)
+        reduce to the loop well within the bound; the rebuild per removed
+        vertex took about 14 s."""
+        g = cycle_with_pendant_trees(4500, random.Random(3))
+        start = time.perf_counter()
+        out = superstable_reduction(g)
+        assert time.perf_counter() - start < 2.0
+        assert out == Multigraph(1, ((0, 0),))
 
     def test_superstable_agrees_with_per_vertex_scan(self):
         for g in enumerate_multigraphs(5):
@@ -249,17 +288,49 @@ class TestSuperstableReduction:
             )
             assert is_superstable(g) == want
 
+    def test_corpus_exercises_both_operations(self):
+        corpus = _reduction_corpus()
+        assert len(corpus) > 50
+        assert any(valency(g, v) == 1 for g in corpus for v in range(g.vertex_count))
+        assert any(
+            valency(g, v) == 2 and (v, v) not in g.edges
+            for g in corpus
+            for v in range(g.vertex_count)
+        )
+        assert any(len(connected_components(g)) > 1 for g in corpus)
+
+
+def _disjoint_union(*parts):
+    edges = []
+    offset = 0
+    for p in parts:
+        edges += [(a + offset, b + offset) for a, b in p.edges]
+        offset += p.vertex_count
+    return build_graph(offset, edges)
+
 
 def _reduction_corpus():
+    """Graphs whose every component has b1 >= 1: named graphs, cycles with
+    chords and loops, the same cycles with pendant trees, subdivided
+    graphs with and without pendant trees, and graphs of several
+    components."""
     rng = random.Random(7)
     corpus = [triangle(), fat_triangle(), tetrahedron(), split_graph(4)]
-    # cycles with pendant trees and subdivided graphs
+    cycles = []
     for _ in range(15):
         n = rng.randint(3, 7)
         edges = [(i, (i + 1) % n) for i in range(n)]
         for _ in range(rng.randint(0, 3)):
             edges.append((rng.randrange(n), rng.randrange(n)))
-        corpus.append(build_graph(n, edges))
+        cycles.append(build_graph(n, edges))
+    corpus += cycles
+    corpus += [with_pendant_trees(g, rng, most=6) for g in cycles]
+    corpus += [subdivided(g, rng) for g in corpus[:12]]
+    corpus += [with_pendant_trees(subdivided(g, rng), rng) for g in corpus[:12]]
+    corpus += [
+        _disjoint_union(triangle(), with_pendant_trees(loop_graph(), rng, most=6)),
+        _disjoint_union(subdivided(tetrahedron(), rng), split_graph(2), loop_graph()),
+    ]
     return corpus
 
 
