@@ -96,17 +96,28 @@ def format_curve_file(
     vertex_names: Optional[Sequence[str]] = None,
     edge_names: Optional[Sequence[str]] = None,
 ) -> str:
-    """Emit a dual graph in the text format; round-trips through parsing."""
-    if vertex_names is None:
-        vertex_names = [f"c{i}" for i in range(x.graph.vertex_count)]
-    if edge_names is None:
-        edge_names = [f"n{i}" for i in range(x.graph.edge_count)]
-    lines = [
-        f"v {vertex_names[v]} genus={x.genus_marks[v]}"
-        for v in range(x.graph.vertex_count)
-    ]
+    """Emit a dual graph in the text format; round-trips through parsing.
+    Names that would not read back as given raise ValueError."""
+    vertex_names = _names("vertex", vertex_names, "c", x.graph.vertex_count)
+    edge_names = _names("edge", edge_names, "n", x.graph.edge_count)
+    lines = [f"v {name} genus={mark}" for name, mark in zip(vertex_names, x.genus_marks)]
     lines.extend(
-        f"e {edge_names[eid]} {vertex_names[a]} {vertex_names[b]}"
-        for eid, (a, b) in enumerate(x.graph.edges)
+        f"e {name} {vertex_names[a]} {vertex_names[b]}"
+        for name, (a, b) in zip(edge_names, x.graph.edges)
     )
     return "\n".join(lines) + "\n"
+
+
+def _names(kind: str, names: Optional[Sequence[str]], prefix: str, count: int) -> Sequence[str]:
+    """prefix0, prefix1, ... by default; given names must be one per item,
+    distinct, and each one field without ``#``."""
+    if names is None:
+        return [f"{prefix}{i}" for i in range(count)]
+    if len(names) != count:
+        raise ValueError(f"{len(names)} {kind} names given, {count} needed")
+    for name in names:
+        if name.split() != [name] or "#" in name:
+            raise ValueError(f"{kind} name {name!r} is not one field without '#'")
+    if len(set(names)) != count:
+        raise ValueError(f"duplicate {kind} names")
+    return names

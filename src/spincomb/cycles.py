@@ -3,7 +3,8 @@
 Basis construction, membership, enumeration of all cyclic (= even) edge
 sets, the one-pass profile of their Betti numbers and the set of them, the
 eulerian test and circuit decomposition.  The b1 of each cyclic set comes
-from one loop, :func:`_betti_pass`.
+from one loop, :func:`_betti_pass`, over the series classes that the
+reduction's smoothing pass forms (:func:`_series_classes`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .graphs import (
     Multigraph,
     ZeroChain,
     _closing_edges,
+    _smooth,
     _valencies,
     connected_components,
     induced_subgraph,
@@ -144,66 +146,30 @@ def cyclic_sets(g: Multigraph) -> Iterator[EdgeSubset]:
 
 def _series_classes(
     g: Multigraph, basis: List[int]
-) -> Tuple[List[Edge], List[int], int, List[int]]:
+) -> Tuple[Tuple[Edge, ...], List[int], int, List[int]]:
     """The series classes of the edges on some cycle (the support of the
     basis): each class's endpoint pair after smoothing, its edge mask, the
     number of vertices the pairs are labelled over, and the basis with bit i
     standing for class i.
 
-    A vertex whose support edges are exactly two non-loop edges puts both
-    in the same cyclic sets, so such vertices join their edges into chains.
-    A chain becomes one pair between its two end vertices, a whole cycle of
-    such vertices a loop at one of them, and the vertices the pairs name are
-    relabelled 0, 1, ...  Every cyclic set is a union of whole classes, and
-    smoothing keeps its b1.  With no such vertex every edge is a class of
-    its own, bridges included (no cyclic set holds one), and the vertices
-    and the basis stay as they are.
+    The support has no vertex of valency 1, so :func:`graphs._smooth` only
+    smooths, at the vertices whose support edges are two non-loop edges and
+    so lie in the same cyclic sets (never at a loop's vertex): a chain of
+    them becomes one pair, a whole cycle a loop.  Every cyclic set is a
+    union of whole classes, and smoothing keeps its b1.  When nothing
+    smooths, every edge is a class of its own, bridges included (no cyclic
+    set holds one), and the vertices and the basis stay as they are.
     """
     edges = g.edges
     support = reduce(or_, basis, 0)
-    ids: List[int] = []
-    # support edges at each vertex; a loop counts 3, for two loops at one
-    # vertex are not in series and a lone loop needs no smoothing
-    count = [0] * g.vertex_count
-    for eid, (a, b) in enumerate(edges):
-        if support >> eid & 1:
-            ids.append(eid)
-            if a != b:
-                count[a] += 1
-                count[b] += 1
-            else:
-                count[a] += 3
-    if 2 not in count:
-        return list(edges), [1 << eid for eid in range(len(edges))], g.vertex_count, basis
-    root = list(range(len(ids)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    joined: Dict[int, int] = {}
-    for i, eid in enumerate(ids):
-        for v in edges[eid]:
-            if count[v] == 2:
-                if v in joined:
-                    root[find(i)] = find(joined[v])
-                else:
-                    joined[v] = i
-    members: Dict[int, List[int]] = {}
-    for i in range(len(ids)):
-        members.setdefault(find(i), []).append(ids[i])
-    label: Dict[int, int] = {}
-    pairs: List[Edge] = []
-    masks: List[int] = []
-    for chain in members.values():
-        ends = [v for eid in chain for v in edges[eid] if count[v] != 2]
-        a, b = ends or (edges[chain[0]][0],) * 2
-        pairs.append((label.setdefault(a, len(label)), label.setdefault(b, len(label))))
-        masks.append(sum(1 << eid for eid in chain))
+    ids = [eid for eid in range(len(edges)) if support >> eid & 1]
+    on_cycles = Multigraph(g.vertex_count, tuple(edges[eid] for eid in ids))
+    core = _smooth(on_cycles, [1 << eid for eid in ids])
+    if core is None:
+        return edges, [1 << eid for eid in range(len(edges))], g.vertex_count, basis
+    n, pairs, masks = core
     packed = [sum(1 << i for i, m in enumerate(masks) if v & m) for v in basis]
-    return pairs, masks, len(label), packed
+    return pairs, masks, n, packed
 
 
 def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
@@ -224,7 +190,7 @@ def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
                 rest >>= _CHUNK
             yield n1
 
-    return basis, bettis(_chunk_tables(tuple(pairs)), list(range(n)), (1 << _CHUNK) - 1)
+    return basis, bettis(_chunk_tables(pairs), list(range(n)), (1 << _CHUNK) - 1)
 
 
 def betti_profile(g: Multigraph) -> Dict[int, Tuple[int, EdgeSubset]]:

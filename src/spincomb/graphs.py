@@ -7,8 +7,9 @@ arithmetic stays constant-time and width errors fail loudly.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BadIndexError, IsolatedVertexError, WidthMismatchError
 
@@ -156,6 +157,72 @@ def _valencies(g: Multigraph) -> Tuple[List[int], List[bool]]:
         if a == b:
             loop[a] = True
     return val, loop
+
+
+def _smooth(
+    g: Multigraph, masks: List[int]
+) -> Optional[Tuple[int, Tuple[Edge, ...], List[int]]]:
+    """Drop the edge at a vertex of valency 1, or merge the two edges at one
+    of valency 2 without a loop, until neither applies, always at the
+    lowest such vertex (operations 1 and 2 of :mod:`spincomb.transforms`).
+    A vertex of valency 0 is neither superstable nor reducible, and a loop
+    is never removed, so a whole cycle ends as a loop.
+
+    None when no operation applies; else the core's vertex count, its edges
+    and, for each, the OR of the masks of the edges of g it replaced
+    (``masks[i]`` is edge i's).  Vertices left with an edge keep their
+    order and are relabelled 0, 1, ...; the surviving edges of g keep
+    theirs, and merged edges follow them in order of creation.
+
+    One heap pass in O((n + m) log n): each popped vertex is re-checked,
+    and an operation touches at most two neighbours, which go back on it.
+    """
+    val, loop = _valencies(g)  # a removed vertex gets valency 0
+
+    def applicable(v: int) -> bool:
+        return val[v] == 1 or val[v] == 2 and not loop[v]
+
+    heap = [v for v in range(len(val)) if applicable(v)]
+    if not heap:
+        return None
+    edges: List[Optional[Edge]] = list(g.edges)
+    masks = list(masks)
+    incident = [{eid for eid, _ in pairs} for pairs in g.incidence()]
+    while heap:
+        v = heapq.heappop(heap)
+        if not applicable(v):
+            continue  # removed, or changed since it was pushed
+        d, val[v] = val[v], 0
+        far = []
+        merged = 0
+        for eid in incident[v]:
+            a, b = edges[eid]
+            u = b if a == v else a
+            incident[u].discard(eid)
+            edges[eid] = None
+            merged |= masks[eid]
+            far.append(u)
+        if d == 1:  # operation 1: the neighbour loses the edge
+            val[far[0]] -= 1
+        else:  # operation 2: the two edges become one, valencies unchanged
+            u, w = sorted(far)
+            incident[u].add(len(edges))
+            incident[w].add(len(edges))
+            edges.append((u, w))
+            masks.append(merged)
+            if u == w:  # two parallel edges merge into a loop
+                loop[u] = True
+        for u in far:
+            if applicable(u):
+                heapq.heappush(heap, u)
+    label = [0] * len(val)
+    survivors = [v for v, d in enumerate(val) if d]
+    for i, v in enumerate(survivors):
+        label[v] = i
+    kept = [eid for eid, e in enumerate(edges) if e]
+    # the labels keep the vertex order, so each pair stays (min, max)
+    pairs = tuple((label[edges[eid][0]], label[edges[eid][1]]) for eid in kept)
+    return len(survivors), pairs, [masks[eid] for eid in kept]
 
 
 def connected_components(g: Multigraph) -> List[List[int]]:

@@ -11,17 +11,15 @@ both theorems, and their superstable precondition, live in
 :func:`eliminate_valency1`, :func:`smooth_valency2` and
 :func:`contract_separating_edge` are the single-step operations; each
 builds a new graph.  :func:`superstable_reduction` applies the first two
-in one heap pass, without building a graph per step, always at the lowest
-applicable vertex.  The tests check it against the loop that applies the
-single steps in that order (``lowest_first_reduction``: the same labels
-and edge order) and against one that applies them at random vertices
-(``random_order_reduction``: the same graph up to isomorphism), both in
-``tests/conftest.py``.
+at the lowest applicable vertex in one heap pass, ``graphs._smooth``, the
+pass that also forms the series classes of :mod:`spincomb.cycles`.  The
+tests check it against loops of single steps in ``tests/conftest.py``: at
+the lowest vertex (``lowest_first_reduction``: the same labels and edge
+order) and at random ones (``random_order_reduction``: up to isomorphism).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -37,6 +35,7 @@ from .errors import (
 from .graphs import (
     EdgeSubset,
     Multigraph,
+    _smooth,
     _valencies,
     connected_components,
     separating_edges,
@@ -90,16 +89,12 @@ def smooth_valency2(g: Multigraph, v: int) -> Multigraph:
     val = valency(g, v)
     if val != 2:
         raise WrongValencyError(v, val, 2)
-    incident = [eid for eid, e in enumerate(g.edges) if v in e]
+    incident = g.incidence()[v]  # (edge, far end) pairs; a loop appears once
     if len(incident) == 1:  # valency 2 from a single loop
         raise LoopVertexError(v)
-    far = []
-    for eid in incident:
-        a, b = g.edges[eid]
-        far.append(b if a == v else a)
-    merged = (min(far), max(far))
-    edges = [e for eid, e in enumerate(g.edges) if eid not in incident]
-    edges.append(merged)
+    (e1, u), (e2, w) = incident
+    edges = [e for eid, e in enumerate(g.edges) if eid not in (e1, e2)]
+    edges.append((min(u, w), max(u, w)))
     return _drop_vertex(g.vertex_count, edges, v)
 
 
@@ -131,20 +126,14 @@ def is_superstable(g: Multigraph) -> bool:
 
 def superstable_reduction(g: Multigraph) -> Multigraph:
     """Apply operations 1 and 2 until the graph is superstable, each time at
-    the lowest vertex one applies to.
+    the lowest vertex one applies to, in one heap pass in O((n + m) log n).
 
     Requires b1 >= 1 on every connected component; a tree component would
     reduce to nothing, and is refused before any operation.  The result is
     unique up to isomorphism whatever the order of the operations; this
-    order fixes it exactly.  The surviving vertices keep their relative
-    order and are relabelled 0, 1, ...; the surviving edges of g keep
-    theirs, and each merged edge follows them in order of creation.  A
-    graph that is already superstable is returned as it is.
-
-    One pass in O((n + m) log n): valencies and incidence sets are built
-    once, and a heap holds the applicable vertices, each re-checked when it
-    is popped.  An operation changes only its vertex's neighbours (at most
-    two), which go back on the heap.
+    order fixes it exactly: the surviving vertices (relabelled 0, 1, ...)
+    and edges keep their order, and merged edges follow in order of
+    creation.  A superstable graph is returned as it is.
     """
     blocks = connected_components(g)
     component = [0] * g.vertex_count
@@ -157,56 +146,8 @@ def superstable_reduction(g: Multigraph) -> Multigraph:
     for block, rank in zip(blocks, b1):
         if rank == 0:
             raise VanishingComponentError(f"component {block} is a tree")
-    # A removed vertex gets valency 0; loops are never removed, since
-    # neither operation applies at the vertex of one.
-    val, loop = _valencies(g)
-
-    def applicable(v: int) -> bool:  # the complement of is_superstable's rule
-        return val[v] == 1 or val[v] == 2 and not loop[v]
-
-    heap = [v for v in range(len(val)) if applicable(v)]
-    if not heap:
-        return g
-    edges: List[Optional[Tuple[int, int]]] = list(g.edges)
-    incident: List[set] = [set() for _ in val]
-    for eid, (a, b) in enumerate(edges):
-        incident[a].add(eid)
-        incident[b].add(eid)
-    while heap:
-        v = heapq.heappop(heap)
-        if not applicable(v):
-            continue  # removed, or changed since it was pushed
-        d, val[v] = val[v], 0
-        far = []
-        for eid in incident[v]:
-            a, b = edges[eid]
-            u = b if a == v else a
-            incident[u].discard(eid)
-            edges[eid] = None
-            far.append(u)
-        if d == 1:  # operation 1: the neighbour loses the edge
-            val[far[0]] -= 1
-        else:  # operation 2: the two edges become one, valencies unchanged
-            u, w = sorted(far)
-            incident[u].add(len(edges))
-            incident[w].add(len(edges))
-            edges.append((u, w))
-            if u == w:  # two parallel edges merge into a loop
-                loop[u] = True
-        for u in far:
-            if applicable(u):
-                heapq.heappush(heap, u)
-    label = [0] * len(val)
-    survivors = [v for v, d in enumerate(val) if d]
-    for i, v in enumerate(survivors):
-        label[v] = i
-    return Multigraph(
-        len(survivors),
-        tuple(
-            (min(label[a], label[b]), max(label[a], label[b]))
-            for a, b in filter(None, edges)
-        ),
-    )
+    core = _smooth(g, [0] * g.edge_count)  # no caller reads the merged masks
+    return g if core is None else Multigraph(*core[:2])
 
 
 _LOOP = Multigraph(1, ((0, 0),))

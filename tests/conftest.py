@@ -193,6 +193,24 @@ def articulation_oracle(g: Multigraph) -> List[int]:
     return out
 
 
+def path_or_cycle(g: Multigraph, bits: int):
+    """What the edges at ``bits`` form in g, by direct valency counting and
+    a union-find: ("path", (x, y)) for a simple path between x < y,
+    ("cycle", its vertices) for a simple cycle (a loop and a parallel pair
+    included), None for anything else."""
+    edges = [e for eid, e in enumerate(g.edges) if bits >> eid & 1]
+    val: dict = {}
+    for a, b in edges:
+        val[a] = val.get(a, 0) + 1
+        val[b] = val.get(b, 0) + 1
+    ends = tuple(sorted(v for v, d in val.items() if d == 1))
+    # untouched vertices count as components of their own
+    connected = count_components(g.vertex_count, edges) == g.vertex_count - len(val) + 1
+    if not edges or not connected or max(val.values()) > 2 or len(ends) not in (0, 2):
+        return None
+    return ("path", ends) if ends else ("cycle", frozenset(val))
+
+
 def even_subset_bits_oracle(g: Multigraph) -> List[int]:
     """All even edge subsets by direct valency counting over all 2^delta."""
     out = []

@@ -16,6 +16,7 @@ from conftest import (
     fat_triangle,
     loop_graph,
     path_graph,
+    path_or_cycle,
     random_connected_graph,
     random_graph,
     random_multigraph,
@@ -323,6 +324,38 @@ class TestSeriesClasses:
             any(a == b for a, b in pairs) and not any(a == b for a, b in g.edges)
             for g, (_, _, (pairs, _, _, _)) in zip(graphs, classes)
         )
+
+    def test_classes_are_maximal_chains(self):
+        """On the smoothing path no class vertex is left whose pairs are
+        exactly two non-loop pairs, and each class is a path or a cycle of
+        g whose interior vertices have valency 2 among the support edges."""
+        graphs = _series_corpus()
+        smoothed = 0
+        for g in graphs:
+            _, support, (pairs, masks, n, _) = _classes(g)
+            if len(masks) == g.edge_count:
+                continue  # no vertex in series: every edge is its own class
+            smoothed += 1
+            val, loop = [0] * n, [False] * n
+            for a, b in pairs:
+                val[a] += 1
+                val[b] += 1
+                loop[a] |= a == b
+            assert not any(d == 2 and not loop[v] for v, d in enumerate(val))
+            on_support = [0] * g.vertex_count
+            for eid, (a, b) in enumerate(g.edges):
+                if support >> eid & 1:
+                    on_support[a] += 1
+                    on_support[b] += 1
+            for (a, b), m in zip(pairs, masks):
+                shape, ends = path_or_cycle(g, m)
+                assert shape == ("cycle" if a == b else "path")
+                inside = {v for eid, e in enumerate(g.edges) if m >> eid & 1 for v in e}
+                # a cycle keeps at most one vertex of other support edges
+                interior = inside - set(ends) if shape == "path" else inside
+                outside = [v for v in interior if on_support[v] != 2]
+                assert len(outside) <= (shape == "cycle")
+        assert smoothed > len(graphs) // 2
 
     def test_chain_becomes_one_pair(self):
         # K4 with edge 0-1 subdivided twice: 8 cycle edges, 6 classes on 4 vertices

@@ -190,6 +190,51 @@ class TestRoundTrip:
         assert cf.vertex_names == ("p", "q", "r")
 
 
+class TestFormatRefusesNames:
+    """format_curve_file emits only text that parses back to the names it
+    was given; any other name list is a ValueError."""
+
+    SPLIT = CurveDualGraph(build_graph(2, [(0, 1)] * 3), (0, 0))
+
+    @pytest.mark.parametrize("names", [["a#1", "b"], ["a b", "c"], ["", "b"], ["a\x85", "b"]])
+    def test_vertex_name_not_one_field(self, names):
+        with pytest.raises(ValueError, match="one field"):
+            format_curve_file(self.SPLIT, vertex_names=names)
+
+    def test_edge_name_not_one_field(self):
+        with pytest.raises(ValueError, match="edge name 'n#2'"):
+            format_curve_file(self.SPLIT, edge_names=["n1", "n#2", "n3"])
+
+    def test_duplicate_vertex_names(self):
+        with pytest.raises(ValueError, match="duplicate vertex names"):
+            format_curve_file(self.SPLIT, vertex_names=["a", "a"])
+
+    def test_duplicate_edge_names(self):
+        with pytest.raises(ValueError, match="duplicate edge names"):
+            format_curve_file(self.SPLIT, edge_names=["n1", "n2", "n1"])
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_edge_name_count(self, count):
+        names = [f"n{i}" for i in range(count)]
+        with pytest.raises(ValueError, match=f"{count} edge names given, 3 needed"):
+            format_curve_file(self.SPLIT, edge_names=names)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_vertex_name_count(self, count):
+        names = [f"c{i}" for i in range(count)]
+        with pytest.raises(ValueError, match=f"{count} vertex names given, 2 needed"):
+            format_curve_file(self.SPLIT, vertex_names=names)
+
+    @settings(deadline=None)
+    @given(st.lists(st.text(max_size=3), min_size=2, max_size=2))
+    def test_any_vertex_names_refused_or_read_back(self, names):
+        try:
+            text = format_curve_file(self.SPLIT, vertex_names=names)
+        except ValueError:
+            return
+        assert parse_curve(text).vertex_names == tuple(names)
+
+
 @pytest.fixture
 def split_path(tmp_path):
     path = tmp_path / "split.curve"

@@ -33,14 +33,17 @@ from spincomb.errors import (
     VanishingComponentError,
     WrongValencyError,
 )
+from spincomb.graphs import _smooth
 
 from conftest import (
     are_isomorphic,
+    bridge_oracle,
     cycle_with_pendant_trees,
     fat_triangle,
     loop_graph,
     lowest_first_reduction,
     path_graph,
+    path_or_cycle,
     random_graph,
     random_multigraph,
     random_order_reduction,
@@ -278,6 +281,44 @@ class TestSuperstableReduction:
         out = superstable_reduction(g)
         assert time.perf_counter() - start < 2.0
         assert out == Multigraph(1, ((0, 0),))
+
+    def test_kernel_masks_trace_each_core_edge(self):
+        """With masks 1 << eid, each core edge's mask is the path of g it
+        replaced, between the preimages of its ends (a cycle for a loop);
+        the masks are disjoint, and every edge outside them is a bridge."""
+        smoothed = 0
+        for g in _reduction_corpus():
+            core = _smooth(g, [1 << eid for eid in range(g.edge_count)])
+            if core is None:
+                assert is_superstable(g)
+                continue
+            smoothed += 1
+            n, pairs, masks = core
+            assert Multigraph(n, pairs) == superstable_reduction(g)
+            covered = 0
+            for m in masks:
+                assert not covered & m
+                covered |= m
+            bridges = sum(1 << eid for eid in bridge_oracle(g))
+            assert ((1 << g.edge_count) - 1) & ~covered & ~bridges == 0
+            # the survivors keep their order, so a path's lower end is the
+            # preimage of its core edge's lower end
+            preimage = {}
+            loops = []
+            for (a, b), m in zip(pairs, masks):
+                shape, ends = path_or_cycle(g, m)
+                assert shape == ("cycle" if a == b else "path")
+                if a == b:
+                    loops.append((a, ends))
+                else:
+                    assert preimage.setdefault(a, ends[0]) == ends[0]
+                    assert preimage.setdefault(b, ends[1]) == ends[1]
+            for a, cycle in loops:
+                assert preimage.get(a, min(cycle)) in cycle
+            labels = sorted(preimage)
+            assert [preimage[u] for u in labels] == sorted(set(preimage.values()))
+            assert set(labels).union(a for a, _ in loops) == set(range(n))
+        assert smoothed > 50
 
     def test_superstable_agrees_with_per_vertex_scan(self):
         for g in enumerate_multigraphs(5):
