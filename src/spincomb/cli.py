@@ -17,14 +17,8 @@ from . import __version__
 from .curvefile import CurveFile, parse_curve
 from .cycles import cyclic_betti_set, is_eulerian
 from .enumeration import SweepReport, sweep_theorems
-from .errors import CapExceededError, CurveFileError, GraphError
-from .graphs import (
-    Multigraph,
-    betti_number,
-    connected_components,
-    separating_edges,
-    separating_vertices,
-)
+from .errors import CapExceededError, CurveFileError, GraphError, VanishingComponentError
+from .graphs import EdgeSubset, Multigraph, _lowpoint_dfs, betti_number
 from .spin import (
     check_corollary_split,
     curve_genus,
@@ -74,14 +68,16 @@ def _verdict_dict(v: Verdict, edge_names) -> dict:
 def cmd_analyze(cf: CurveFile) -> dict:
     x = cf.to_dual_graph()
     g = x.graph
-    bridges = separating_edges(g)
+    bridges, cuts, components = _lowpoint_dfs(g)  # one traversal for all three
     return {
         "edge_count": g.edge_count,
         "vertex_count": g.vertex_count,
-        "component_count": len(connected_components(g)),
+        "component_count": len(components),
         "betti_number": betti_number(g),
-        "separating_edges": sorted(cf.edge_names[i] for i in bridges.indices()),
-        "separating_vertices": [cf.vertex_names[v] for v in separating_vertices(g)],
+        "separating_edges": sorted(
+            cf.edge_names[i] for i in EdgeSubset(bridges, g.edge_count).indices()
+        ),
+        "separating_vertices": [cf.vertex_names[v] for v in cuts],
         "eulerian": is_eulerian(g),
         "cyclic_betti_set": sorted(cyclic_betti_set(g)),
     }
@@ -150,13 +146,11 @@ def cmd_classify(cf: CurveFile) -> dict:
         "theorem3": None,
         "corollary_split": _verdict_dict(check_corollary_split(x), cf.edge_names),
     }
-    target = g
-    if not data["superstable"]:
-        try:
-            target = superstable_reduction(g)
-            data["via_reduction"] = True
-        except GraphError:
-            return data
+    try:
+        target = superstable_reduction(g)  # g itself when already superstable
+    except VanishingComponentError:
+        return data
+    data["via_reduction"] = target is not g
     names = (
         cf.edge_names
         if target is g

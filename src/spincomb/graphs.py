@@ -138,13 +138,7 @@ def valency(g: Multigraph, v: int) -> int:
     """Edge-endpoint incidences at v; a loop counts 2."""
     if not 0 <= v < g.vertex_count:
         raise BadIndexError(v, g.vertex_count)
-    total = 0
-    for a, b in g.edges:
-        if a == v:
-            total += 1
-        if b == v:
-            total += 1
-    return total
+    return _valencies(g)[0][v]
 
 
 def _valencies(g: Multigraph) -> Tuple[List[int], List[bool]]:
@@ -226,30 +220,15 @@ def _smooth(
 
 
 def connected_components(g: Multigraph) -> List[List[int]]:
-    """Partition of vertex indices into maximal connected pieces."""
-    inc = g.incidence()
-    seen = [False] * g.vertex_count
-    blocks: List[List[int]] = []
-    for start in range(g.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack = [start]
-        block = [start]
-        while stack:
-            u = stack.pop()
-            for _, w in inc[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    block.append(w)
-                    stack.append(w)
-        blocks.append(sorted(block))
-    return blocks
+    """Partition of vertex indices into maximal connected pieces, each
+    sorted, in order of their lowest vertex; read from the lowpoint DFS."""
+    return _lowpoint_dfs(g)[2]
 
 
 def betti_number(g: Multigraph) -> int:
-    """First Betti number: edges - vertices + components."""
-    return g.edge_count - g.vertex_count + len(connected_components(g))
+    """First Betti number: the edges that close a cycle when all of them are
+    added to a forest of single vertices (see :func:`_closing_edges`)."""
+    return _closing_edges(list(range(g.vertex_count)), g.edges)
 
 
 def separating_edges(g: Multigraph) -> EdgeSubset:
@@ -262,15 +241,18 @@ def separating_vertices(g: Multigraph) -> List[int]:
     return _lowpoint_dfs(g)[1]
 
 
-def _lowpoint_dfs(g: Multigraph) -> Tuple[int, List[int]]:
-    """Bridge bits and sorted cut vertices from one lowpoint DFS
-    (Hopcroft & Tarjan, CACM 1973)."""
+def _lowpoint_dfs(g: Multigraph) -> Tuple[int, List[int], List[List[int]]]:
+    """Bridge bits, sorted cut vertices and the connected components from
+    one lowpoint DFS (Hopcroft & Tarjan, CACM 1973).  Each component is
+    sorted; the roots are taken in increasing order, so the components come
+    in order of their lowest vertex."""
     n = g.vertex_count
     inc = g.incidence()
     pre = [-1] * n
     low = [0] * n
     bridges = 0
     cuts = set()
+    components: List[List[int]] = []
     counter = 0
 
     # Iterative DFS; the edge id used to enter a vertex is skipped exactly
@@ -279,6 +261,7 @@ def _lowpoint_dfs(g: Multigraph) -> Tuple[int, List[int]]:
         if pre[root] != -1:
             continue
         root_children = 0
+        component = [root]
         stack: List[Tuple[int, int, int]] = [(root, -1, 0)]
         pre[root] = low[root] = counter
         counter += 1
@@ -294,6 +277,7 @@ def _lowpoint_dfs(g: Multigraph) -> Tuple[int, List[int]]:
                     counter += 1
                     if u == root:
                         root_children += 1
+                    component.append(w)
                     stack.append((w, eid, 0))
                 else:
                     low[u] = min(low[u], pre[w])
@@ -307,7 +291,8 @@ def _lowpoint_dfs(g: Multigraph) -> Tuple[int, List[int]]:
                     cuts.add(parent)
         if root_children >= 2:
             cuts.add(root)
-    return bridges, sorted(cuts)
+        components.append(sorted(component))
+    return bridges, sorted(cuts), components
 
 
 def induced_subgraph(g: Multigraph, s: EdgeSubset) -> Multigraph:
@@ -341,13 +326,15 @@ def _closing_edges(parent: List[int], pairs: Iterable[Edge]) -> int:
     closes a cycle, any other edge joins two trees.  Starting from a forest
     in which every vertex is its own root, the closing edges of a set of
     edges, added in one call or in several, number its Betti number.
+    Each find halves its path: linking without ranks, the edges of a
+    pendant tree in index order would otherwise chain every vertex.
     """
     closed = 0
     for a, b in pairs:
         while parent[a] != a:
-            a = parent[a]
+            parent[a] = a = parent[parent[a]]
         while parent[b] != b:
-            b = parent[b]
+            parent[b] = b = parent[parent[b]]
         if a == b:
             closed += 1
         else:

@@ -35,9 +35,9 @@ from .errors import (
 from .graphs import (
     EdgeSubset,
     Multigraph,
+    _lowpoint_dfs,
     _smooth,
     _valencies,
-    connected_components,
     separating_edges,
     valency,
 )
@@ -128,23 +128,18 @@ def superstable_reduction(g: Multigraph) -> Multigraph:
     """Apply operations 1 and 2 until the graph is superstable, each time at
     the lowest vertex one applies to, in one heap pass in O((n + m) log n).
 
-    Requires b1 >= 1 on every connected component; a tree component would
-    reduce to nothing, and is refused before any operation.  The result is
+    Requires b1 >= 1 on every connected component.  A tree component, one
+    whose edges (if any) are all bridges of the lowpoint DFS, would reduce
+    to nothing; the lowest is refused before any operation.  The result is
     unique up to isomorphism whatever the order of the operations; this
     order fixes it exactly: the surviving vertices (relabelled 0, 1, ...)
     and edges keep their order, and merged edges follow in order of
     creation.  A superstable graph is returned as it is.
     """
-    blocks = connected_components(g)
-    component = [0] * g.vertex_count
-    for i, block in enumerate(blocks):
-        for v in block:
-            component[v] = i
-    b1 = [1 - len(block) for block in blocks]
-    for a, _ in g.edges:
-        b1[component[a]] += 1
-    for block, rank in zip(blocks, b1):
-        if rank == 0:
+    bridges, _, components = _lowpoint_dfs(g)
+    on_cycle = {a for eid, (a, _) in enumerate(g.edges) if not bridges >> eid & 1}
+    for block in components:
+        if on_cycle.isdisjoint(block):
             raise VanishingComponentError(f"component {block} is a tree")
     core = _smooth(g, [0] * g.edge_count)  # no caller reads the merged masks
     return g if core is None else Multigraph(*core[:2])

@@ -169,6 +169,24 @@ def count_components(vertex_count: int, edges: Sequence[Edge]) -> int:
     return count
 
 
+def components_oracle(vertex_count: int, edges: Sequence[Edge]) -> List[List[int]]:
+    """Union-find vertex sets, each sorted, in order of their lowest vertex;
+    isolated vertices are sets of their own."""
+    parent = list(range(vertex_count))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups = {}
+    for v in range(vertex_count):  # each root first seen at its lowest vertex
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
 def bridge_oracle(g: Multigraph) -> List[int]:
     """Edges whose deletion increases the component count."""
     base = count_components(g.vertex_count, g.edges)

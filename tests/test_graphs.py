@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +11,11 @@ from spincomb import (
     betti_number,
     build_graph,
     connected_components,
+    cycle_basis,
     induced_subgraph,
     separating_edges,
     separating_vertices,
+    subset_betti,
     valency,
 )
 from spincomb.errors import BadIndexError, IsolatedVertexError, WidthMismatchError
@@ -18,7 +23,10 @@ from spincomb.errors import BadIndexError, IsolatedVertexError, WidthMismatchErr
 from conftest import (
     articulation_oracle,
     bridge_oracle,
+    components_oracle,
     count_components,
+    cycle_graph,
+    cycle_with_pendant_trees,
     fat_triangle,
     loop_graph,
     path_graph,
@@ -114,6 +122,67 @@ class TestConnectedComponents:
 
     def test_tetrahedron_connected(self):
         assert connected_components(tetrahedron()) == [[0, 1, 2, 3]]
+
+
+def _raw_graphs(count: int, seed: int):
+    """Graphs built with ``Multigraph`` directly, past ``build_graph``'s
+    checks: 0 to 9 vertices, isolated ones, loops and parallel edges."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(0, 9)
+        edge_count = rng.randint(0, 12) if n else 0
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(edge_count)]
+        if pairs and rng.random() < 0.3:
+            pairs.append(rng.choice(pairs))
+        graphs.append(Multigraph(n, tuple((min(p), max(p)) for p in pairs)))
+    return graphs
+
+
+class TestOneTraversal:
+    """Components, b1 and valency from the one lowpoint DFS, the closing-edge
+    count and the valency sweep, against union-find and direct counts."""
+
+    def test_components_match_union_find(self):
+        kinds = {"empty": 0, "isolated": 0, "loop": 0, "parallel": 0}
+        for g in _raw_graphs(3000, seed=13):
+            n = g.vertex_count
+            assert connected_components(g) == components_oracle(n, g.edges)
+            direct = [sum((a == v) + (b == v) for a, b in g.edges) for v in range(n)]
+            assert [valency(g, v) for v in range(n)] == direct
+            kinds["empty"] += n == 0
+            kinds["isolated"] += 0 in direct
+            kinds["loop"] += any(a == b for a, b in g.edges)
+            kinds["parallel"] += len(set(g.edges)) < g.edge_count
+        assert min(kinds.values()) > 100, kinds
+
+    def test_betti_number_counted_one_way(self):
+        for g in _raw_graphs(3000, seed=13):
+            m, n = g.edge_count, g.vertex_count
+            b1 = m - n + count_components(n, g.edges)
+            assert betti_number(g) == subset_betti(g, EdgeSubset.full(m)) == b1
+            assert cycle_basis(g).dimension == b1
+
+    def test_long_cycle_without_recursion(self):
+        """A recursive DFS would pass the default recursion limit (1000)
+        many times over on a 45,000-vertex cycle."""
+        n = 45000
+        g = cycle_graph(n)
+        start = time.perf_counter()
+        components = connected_components(g)
+        bridges = separating_edges(g)
+        assert time.perf_counter() - start < 2.0
+        assert components == [list(range(n))]
+        assert not bridges
+
+    def test_long_pendant_trees_counted_near_linearly(self):
+        """The closing-edge count halves its find paths: without that, the
+        pendant edges in index order chain every vertex, and this graph's
+        b1 took about 13 s on a 2-vCPU VM."""
+        g = cycle_with_pendant_trees(45000, random.Random(3))
+        start = time.perf_counter()
+        assert betti_number(g) == 1
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSeparatingEdges:

@@ -2,7 +2,9 @@
 used by that module.  Names listed in ``__all__`` count as used, and
 ``from __future__ import annotations`` is exempt.  Every module-level
 ``_private`` name of ``src/spincomb`` is read somewhere in the package, so
-a removed caller cannot leave its helper behind."""
+a removed caller cannot leave its helper behind.  Every Python file of the
+package, the tests and the demos parses under the grammar of Python 3.10,
+the oldest version ``pyproject.toml`` declares."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "spincomb").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = MODULES + sorted((ROOT / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -99,3 +102,12 @@ def test_private_checker_flags_only_unread_names():
 def test_no_unread_private_names():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES]
+)
+def test_parses_as_python_3_10(path):
+    """``requires-python = ">=3.10"`` while the suite runs on a newer
+    interpreter, so a newer-only syntax would pass here and break there."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -241,6 +241,21 @@ class TestSuperstableReduction:
             lowest_first_reduction(g)
         assert str(got.value) == str(want.value) == "component [3, 4, 5] is a tree"
 
+    def test_lowest_of_two_trees_named(self):
+        """Beside a loop-only and a parallel-pair component, whose edges are
+        all non-bridges, two trees: the one of lowest vertex is named,
+        though its edges come last."""
+        loop, pair = [(0, 0)], [(1, 6), (1, 6)]
+        trees = [(3, 7), (4, 7), (2, 8), (5, 8)]  # [3, 4, 7] and [2, 5, 8]
+        g = Multigraph(9, tuple(loop + pair + trees))
+        with pytest.raises(VanishingComponentError) as got:
+            superstable_reduction(g)
+        with pytest.raises(VanishingComponentError) as want:
+            lowest_first_reduction(g)
+        assert str(got.value) == str(want.value) == "component [2, 5, 8] is a tree"
+        cyclic = Multigraph(3, ((0, 0), (1, 2), (1, 2)))
+        assert superstable_reduction(cyclic) == lowest_first_reduction(cyclic)
+
     def test_same_graph_as_per_vertex_scan(self):
         """The lowest applicable vertex is reduced first: the result is the
         very graph, labels and edge order, that the oracle rebuilding the
