@@ -18,7 +18,13 @@ from .curvefile import CurveFile, parse_curve
 from .cycles import cyclic_betti_set, is_eulerian
 from .enumeration import SweepReport, sweep_theorems
 from .errors import CapExceededError, CurveFileError, GraphError, VanishingComponentError
-from .graphs import EdgeSubset, Multigraph, _lowpoint_dfs, betti_number
+from .graphs import (
+    Multigraph,
+    betti_number,
+    connected_components,
+    separating_edges,
+    separating_vertices,
+)
 from .spin import (
     check_corollary_split,
     curve_genus,
@@ -68,16 +74,14 @@ def _verdict_dict(v: Verdict, edge_names) -> dict:
 def cmd_analyze(cf: CurveFile) -> dict:
     x = cf.to_dual_graph()
     g = x.graph
-    bridges, cuts, components = _lowpoint_dfs(g)  # one traversal for all three
+    bridges = separating_edges(g)
     return {
         "edge_count": g.edge_count,
         "vertex_count": g.vertex_count,
-        "component_count": len(components),
+        "component_count": len(connected_components(g)),
         "betti_number": betti_number(g),
-        "separating_edges": sorted(
-            cf.edge_names[i] for i in EdgeSubset(bridges, g.edge_count).indices()
-        ),
-        "separating_vertices": [cf.vertex_names[v] for v in cuts],
+        "separating_edges": sorted(cf.edge_names[i] for i in bridges.indices()),
+        "separating_vertices": [cf.vertex_names[v] for v in separating_vertices(g)],
         "eulerian": is_eulerian(g),
         "cyclic_betti_set": sorted(cyclic_betti_set(g)),
     }

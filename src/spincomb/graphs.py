@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BadIndexError, IsolatedVertexError, WidthMismatchError
 
@@ -64,12 +64,12 @@ class EdgeSubset:
 
     @classmethod
     def from_indices(cls, width: int, indices: Iterable[int]) -> "EdgeSubset":
-        bits = 0
+        bits = bytearray(width // 8 + 1)  # not ORed into a growing int: O(width)
         for i in indices:
             if not 0 <= i < width:
                 raise BadIndexError(i, width)
-            bits |= 1 << i
-        return cls(bits, width)
+            bits[i >> 3] |= 1 << (i & 7)
+        return cls(int.from_bytes(bits, "little"), width)
 
     def __xor__(self, other: "EdgeSubset") -> "EdgeSubset":
         if self.width != other.width:
@@ -226,14 +226,14 @@ def connected_components(g: Multigraph) -> List[List[int]]:
 
 
 def betti_number(g: Multigraph) -> int:
-    """First Betti number: the edges that close a cycle when all of them are
-    added to a forest of single vertices (see :func:`_closing_edges`)."""
-    return _closing_edges(list(range(g.vertex_count)), g.edges)
+    """First Betti number: edges - vertices + components, the components
+    read from the lowpoint DFS; the edges outside its spanning forest."""
+    return g.edge_count - g.vertex_count + len(connected_components(g))
 
 
 def separating_edges(g: Multigraph) -> EdgeSubset:
     """Bridges, found by lowpoint DFS.  Loops and parallel pairs never qualify."""
-    return EdgeSubset(_lowpoint_dfs(g)[0], g.edge_count)
+    return EdgeSubset.from_indices(g.edge_count, _lowpoint_dfs(g)[0])
 
 
 def separating_vertices(g: Multigraph) -> List[int]:
@@ -241,53 +241,55 @@ def separating_vertices(g: Multigraph) -> List[int]:
     return _lowpoint_dfs(g)[1]
 
 
-def _lowpoint_dfs(g: Multigraph) -> Tuple[int, List[int], List[List[int]]]:
-    """Bridge bits, sorted cut vertices and the connected components from
-    one lowpoint DFS (Hopcroft & Tarjan, CACM 1973).  Each component is
-    sorted; the roots are taken in increasing order, so the components come
-    in order of their lowest vertex."""
+def _lowpoint_dfs(g: Multigraph) -> Tuple[Set[int], List[int], List[List[int]]]:
+    """Bridge ids, sorted cut vertices and the connected components from
+    one lowpoint DFS (Hopcroft & Tarjan, CACM 1973) in O(n + m).  Each
+    component is sorted; the roots are taken in increasing order, so the
+    components come in order of their lowest vertex."""
     n = g.vertex_count
     inc = g.incidence()
     pre = [-1] * n
     low = [0] * n
-    bridges = 0
+    bridges: Set[int] = set()
     cuts = set()
     components: List[List[int]] = []
     counter = 0
 
-    # Iterative DFS; the edge id used to enter a vertex is skipped exactly
-    # once so that a parallel copy still acts as a back edge.
+    # Iterative DFS over incidence iterators; the entry edge is skipped so
+    # that a parallel copy still acts as a back edge, and a loop lowers nothing.
     for root in range(n):
         if pre[root] != -1:
             continue
         root_children = 0
         component = [root]
-        stack: List[Tuple[int, int, int]] = [(root, -1, 0)]
         pre[root] = low[root] = counter
         counter += 1
+        stack = [(root, -1, iter(inc[root]))]
         while stack:
-            u, entry_eid, i = stack.pop()
-            if i < len(inc[u]):
-                stack.append((u, entry_eid, i + 1))
-                eid, w = inc[u][i]
-                if w == u or eid == entry_eid:
+            u, entry_eid, pending = stack[-1]
+            for eid, w in pending:
+                if eid == entry_eid:
                     continue
                 if pre[w] == -1:
                     pre[w] = low[w] = counter
                     counter += 1
-                    if u == root:
-                        root_children += 1
                     component.append(w)
-                    stack.append((w, eid, 0))
-                else:
-                    low[u] = min(low[u], pre[w])
-            elif entry_eid != -1:
-                a, b = g.edges[entry_eid]
-                parent = a if pre[a] < pre[b] else b
-                low[parent] = min(low[parent], low[u])
+                    stack.append((w, eid, iter(inc[w])))
+                    break
+                if pre[w] < low[u]:
+                    low[u] = pre[w]
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                parent = stack[-1][0]
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
                 if low[u] > pre[parent]:
-                    bridges |= 1 << entry_eid
-                if parent != root and low[u] >= pre[parent]:
+                    bridges.add(entry_eid)
+                if parent == root:
+                    root_children += 1
+                elif low[u] >= pre[parent]:
                     cuts.add(parent)
         if root_children >= 2:
             cuts.add(root)
@@ -326,15 +328,13 @@ def _closing_edges(parent: List[int], pairs: Iterable[Edge]) -> int:
     closes a cycle, any other edge joins two trees.  Starting from a forest
     in which every vertex is its own root, the closing edges of a set of
     edges, added in one call or in several, number its Betti number.
-    Each find halves its path: linking without ranks, the edges of a
-    pendant tree in index order would otherwise chain every vertex.
     """
     closed = 0
     for a, b in pairs:
         while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
+            a = parent[a]
         while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
+            b = parent[b]
         if a == b:
             closed += 1
         else:

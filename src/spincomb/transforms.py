@@ -137,7 +137,7 @@ def superstable_reduction(g: Multigraph) -> Multigraph:
     creation.  A superstable graph is returned as it is.
     """
     bridges, _, components = _lowpoint_dfs(g)
-    on_cycle = {a for eid, (a, _) in enumerate(g.edges) if not bridges >> eid & 1}
+    on_cycle = {a for eid, (a, _) in enumerate(g.edges) if eid not in bridges}
     for block in components:
         if on_cycle.isdisjoint(block):
             raise VanishingComponentError(f"component {block} is a tree")
