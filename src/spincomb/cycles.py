@@ -3,15 +3,17 @@
 Basis construction, membership, enumeration of all cyclic (= even) edge
 sets, the one-pass profile of their Betti numbers and the set of them, the
 eulerian test and circuit decomposition.  The b1 of each cyclic set comes
-from one loop, :func:`_betti_pass`, over the series classes that the
-reduction's smoothing pass forms (:func:`_series_classes`).
+from one walk, :func:`_betti_pass`, down the tree of basis coefficients
+over the series classes that the reduction's smoothing pass forms
+(:func:`_series_classes`), with a union-find that is undone as the walk
+leaves each subtree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import or_, xor
 from typing import Dict, Iterator, List, Tuple
 
@@ -21,7 +23,6 @@ from .graphs import (
     EdgeSubset,
     Multigraph,
     ZeroChain,
-    _closing_edges,
     _smooth,
     _valencies,
     connected_components,
@@ -31,9 +32,9 @@ from .graphs import (
 #: Enumerating a cycle space of dimension above this is refused.
 ENUMERATION_CAP = 30
 
-#: Cyclic sets are read this many edges at a time, through a 2^_CHUNK-entry
-#: table per chunk: wider tables cost more to build than small graphs save.
-_CHUNK = 6
+#: The walk hands on the b1 of the sets below each node at this depth as one
+#: list, so a pass holds at most 2^_SUBTREE values at once.
+_SUBTREE = 12
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,6 @@ def _counter_order(basis: List[int]) -> Iterator[int]:
     return accumulate(steps, xor, initial=0)
 
 
-def _chunk_tables(edges: Tuple[Edge, ...]) -> List[List[Tuple[Edge, ...]]]:
-    """For each run of _CHUNK consecutive edges, the endpoint pairs picked
-    out by every bit pattern over it; a table doubles once per edge."""
-    tables = []
-    for start in range(0, len(edges), _CHUNK):
-        table: List[Tuple[Edge, ...]] = [()]
-        for edge in edges[start:start + _CHUNK]:
-            table += [pairs + (edge,) for pairs in table]
-        tables.append(table)
-    return tables
-
-
 def cyclic_sets(g: Multigraph) -> Iterator[EdgeSubset]:
     """All 2^b1 cyclic edge subsets (even sets), each exactly once, in
     coefficient-counter order.  A cycle space past
@@ -172,25 +161,146 @@ def _series_classes(
     return pairs, masks, n, packed
 
 
+def _levels(pairs: Tuple[Edge, ...], packed: List[int]) -> List[List[Tuple[int, int, int]]]:
+    """For each basis vector, the classes it is the lowest to hold, as
+    (class bit, end, end): the walk knows whether a set holds such a class
+    once it has decided that vector's coefficient."""
+    seen = 0
+    levels = []
+    for v in packed:
+        new = v & ~seen
+        seen |= v
+        level = []
+        while new:
+            low = new & -new
+            new ^= low
+            a, b = pairs[low.bit_length() - 1]
+            level.append((low, a, b))
+        levels.append(level)
+    return levels
+
+
+def _join(level: List[Tuple[int, int, int]], cur: int, parent: List[int], log: List[int]) -> int:
+    """Join the classes of ``level`` that the set ``cur`` holds to the
+    union-find forest ``parent``, logging each root it links; return how
+    many of them close a cycle.  No ranks: the forest only spans the end
+    vertices of the classes of one set, and linking by size timed slower."""
+    closed = 0
+    for bit, a, b in level:
+        if cur & bit:
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                closed += 1
+            else:
+                parent[a] = b
+                log.append(a)
+    return closed
+
+
+def _walk(
+    levels: List[List[Tuple[int, int, int]]],
+    packed: List[int],
+    parent: List[int],
+    log: List[int],
+    j: int,
+    acc: int,
+    n1: int,
+    out: List[int],
+) -> None:
+    """Append the b1 of every set below a node of the coefficient tree to
+    ``out``, in counter order.
+
+    The node has decided the coefficients of the basis vectors above j:
+    ``acc`` is the XOR of those it takes, ``parent`` the forest of the
+    classes they decide and ``n1`` how many of those closed a cycle.  Each
+    child (coefficient 0, then 1) joins the classes of level j in its set,
+    recurses and undoes its links.  Under level 0 the children are leaves:
+    they split the classes of level 0 between them, and each joins its
+    share in a copy of the forest.
+    """
+    if j == 0:
+        p0 = parent[:]
+        p1 = parent[:]
+        c0 = c1 = n1
+        for bit, a, b in levels[0]:
+            if acc & bit:
+                while p0[a] != a:
+                    a = p0[a]
+                while p0[b] != b:
+                    b = p0[b]
+                if a == b:
+                    c0 += 1
+                else:
+                    p0[a] = b
+            else:
+                while p1[a] != a:
+                    a = p1[a]
+                while p1[b] != b:
+                    b = p1[b]
+                if a == b:
+                    c1 += 1
+                else:
+                    p1[a] = b
+        out.append(c0)
+        out.append(c1)
+        return
+    level = levels[j]
+    mark = len(log)
+    for cur in (acc, acc ^ packed[j]):
+        _walk(levels, packed, parent, log, j - 1, cur, n1 + _join(level, cur, parent, log), out)
+        while len(log) > mark:
+            a = log.pop()
+            parent[a] = a
+
+
+def _subtrees(
+    levels: List[List[Tuple[int, int, int]]],
+    packed: List[int],
+    parent: List[int],
+    log: List[int],
+    j: int,
+    acc: int,
+    n1: int,
+) -> Iterator[List[int]]:
+    """The walk of :func:`_walk` above depth :data:`_SUBTREE`, one list of
+    b1 values per subtree below it, in counter order."""
+    if j < _SUBTREE:
+        out: List[int] = []
+        _walk(levels, packed, parent, log, j, acc, n1, out)
+        yield out
+        return
+    mark = len(log)
+    for cur in (acc, acc ^ packed[j]):
+        closed = n1 + _join(levels[j], cur, parent, log)
+        yield from _subtrees(levels, packed, parent, log, j - 1, cur, closed)
+        while len(log) > mark:
+            a = log.pop()
+            parent[a] = a
+
+
 def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
     """The cycle basis, cap-checked on the call, and the b1 of every cyclic
-    set in the order of :func:`cyclic_sets`, computed as it is read: the
-    sets run over the series classes (see :func:`_series_classes`), and a
-    union-find over the class end vertices counts each b1."""
+    set in the order of :func:`cyclic_sets`, computed as it is read.
+
+    The sets run over the series classes (see :func:`_series_classes`).  A
+    depth-first walk of the tree of basis coefficients, the last basis
+    vector decided first and 0 taken before 1, reaches them in counter
+    order.  Each class joins one union-find over the class end vertices at
+    the level of the lowest basis vector that holds it (:func:`_levels`),
+    and the links are undone as the walk leaves each subtree (Westbrook &
+    Tarjan, SIAM J. Comput. 1989), so a class is joined once per subtree
+    rather than once per set.  The b1 of a set is the number of its classes
+    that close a cycle.
+    """
     basis = _basis_bits(g)
+    if not basis:
+        return basis, iter((0,))
     pairs, _, n, packed = _series_classes(g, basis)
-
-    # arguments, not closure cells: the loop reads them as fast locals
-    def bettis(tables: List[List[Tuple[Edge, ...]]], base: List[int], mask: int) -> Iterator[int]:
-        for rest in _counter_order(packed):
-            parent = base[:]
-            n1 = 0
-            for table in tables:
-                n1 += _closing_edges(parent, table[rest & mask])
-                rest >>= _CHUNK
-            yield n1
-
-    return basis, bettis(_chunk_tables(pairs), list(range(n)), (1 << _CHUNK) - 1)
+    walk = _subtrees(_levels(pairs, packed), packed, list(range(n)), [], len(packed) - 1, 0, 0)
+    return basis, chain.from_iterable(walk)
 
 
 def betti_profile(g: Multigraph) -> Dict[int, Tuple[int, EdgeSubset]]:

@@ -313,28 +313,22 @@ def induced_subgraph(g: Multigraph, s: EdgeSubset) -> Multigraph:
 
 
 def subset_betti(g: Multigraph, s: EdgeSubset) -> int:
-    """Betti number of the subgraph induced by s, without materializing it."""
+    """Betti number of the subgraph induced by s, without materializing it:
+    how many of its edges close a cycle, added one by one to a union-find
+    forest over the vertices.  Finds halve their paths (each vertex on the
+    way is pointed at its grandparent), so a long chain of links stays
+    cheap to climb."""
     if s.width != g.edge_count:
         raise WidthMismatchError(s.width, g.edge_count)
     edges = g.edges
-    return _closing_edges(list(range(g.vertex_count)), [edges[i] for i in s.indices()])
-
-
-def _closing_edges(parent: List[int], pairs: Iterable[Edge]) -> int:
-    """The b1 kernel: how many of the endpoint pairs close a cycle.
-
-    ``parent`` is a union-find forest over the vertices; the pairs are
-    added to it in place.  An edge whose endpoints already share a root
-    closes a cycle, any other edge joins two trees.  Starting from a forest
-    in which every vertex is its own root, the closing edges of a set of
-    edges, added in one call or in several, number its Betti number.
-    """
+    parent = list(range(g.vertex_count))
     closed = 0
-    for a, b in pairs:
+    for eid in s.indices():
+        a, b = edges[eid]
         while parent[a] != a:
-            a = parent[a]
+            parent[a] = a = parent[parent[a]]
         while parent[b] != b:
-            b = parent[b]
+            parent[b] = b = parent[parent[b]]
         if a == b:
             closed += 1
         else:

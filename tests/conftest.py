@@ -21,6 +21,7 @@ from spincomb import (
     smooth_valency2,
     valency,
 )
+from spincomb.cycles import _series_classes
 from spincomb.errors import VanishingComponentError
 from spincomb.graphs import _valencies
 
@@ -137,6 +138,21 @@ def with_pendant_trees(g: Multigraph, rng: random.Random, most: int = 4) -> Mult
     rng.shuffle(perm)
     rng.shuffle(edges)
     return build_graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def random_cubic_graph(rng: random.Random, b1: int) -> Multigraph:
+    """A uniformly paired, simple, connected cubic graph on 2 * (b1 - 1)
+    vertices (pairing model with rejection), so b1 >= 3; the edges come in
+    the order of the pairing."""
+    n = 2 * (b1 - 1)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = [(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])]
+        if any(a == b for a, b in edges) or len(set(edges)) < len(edges):
+            continue
+        if count_components(n, edges) == 1:
+            return build_graph(n, edges)
 
 
 def cycle_with_pendant_trees(n: int, rng: random.Random) -> Multigraph:
@@ -368,6 +384,39 @@ def counter_order_oracle(basis: Sequence[int]) -> List[int]:
             k >>= 1
             i += 1
         out.append(bits)
+    return out
+
+
+def chunk_table_bettis(g: Multigraph) -> List[int]:
+    """The b1 of every cyclic set in counter order, by the loop that the
+    coefficient walk replaced: over the same series classes, a fresh
+    union-find per set, fed six classes at a time from per-graph tables of
+    the endpoint pairs each bit pattern picks out; b1 is the count of
+    classes whose ends already share a root."""
+    basis = cycle_basis_oracle(g)[1]
+    pairs, _, n, packed = _series_classes(g, basis)
+    tables = []
+    for start in range(0, len(pairs), 6):
+        table: List[Tuple[Edge, ...]] = [()]
+        for pair in pairs[start:start + 6]:
+            table += [chosen + (pair,) for chosen in table]
+        tables.append(table)
+    out = []
+    for rest in counter_order_oracle(packed):
+        parent = list(range(n))
+        n1 = 0
+        for table in tables:
+            for a, b in table[rest & 63]:
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a == b:
+                    n1 += 1
+                else:
+                    parent[a] = b
+            rest >>= 6
+        out.append(n1)
     return out
 
 

@@ -4,12 +4,15 @@ walks, and the theorem witnesses and spin numerics read off it."""
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 import spincomb.cycles as cycles
 import spincomb.spin as spin
 from conftest import (
+    chunk_table_bettis,
+    count_components,
     counter_order_oracle,
     cycle_graph,
     dict_union_find_betti,
@@ -18,6 +21,7 @@ from conftest import (
     path_graph,
     path_or_cycle,
     random_connected_graph,
+    random_cubic_graph,
     random_graph,
     random_multigraph,
     random_tree,
@@ -134,8 +138,8 @@ class TestCap:
         def enumerated(*args):
             raise AssertionError("a cyclic set was visited")
 
-        monkeypatch.setattr(cycles, "_chunk_tables", enumerated)
-        monkeypatch.setattr(cycles, "_closing_edges", enumerated)
+        monkeypatch.setattr(cycles, "_levels", enumerated)
+        monkeypatch.setattr(cycles, "_walk", enumerated)
         g = split_graph(32)  # b1 = 31, superstable
         calls = [
             lambda: betti_profile(g),
@@ -306,7 +310,8 @@ class TestSeriesClasses:
             # the smoothed support has the b1 of the support
             whole = EdgeSubset(support, g.edge_count)
             on_cycles = [pair for pair, m in zip(pairs, masks) if m & support]
-            assert cycles._closing_edges(list(range(n)), on_cycles) == subset_betti(g, whole)
+            b1 = len(on_cycles) - n + count_components(n, on_cycles)
+            assert b1 == subset_betti(g, whole)
 
     def test_corpus_takes_the_series_path(self):
         graphs = _series_corpus()
@@ -387,3 +392,76 @@ class TestSeriesClasses:
                 assert d.gluing_dimension == subset_betti(x.graph, d.even_set)
                 assert d.gluing_dimension == dict_union_find_betti(x.graph, d.even_set.bits)
             assert got[x] == [support_description(x, d) for d in even_sets(x)]
+
+
+# ---------------------------------------------------------------- coefficient walk
+
+
+def _walk_stream(g):
+    return list(cycles._betti_pass(g)[1])
+
+
+def _chorded_cycle():
+    """A 12-cycle listed first, then four chords: basis[0] is the whole
+    cycle, so level 0 holds its eight arcs and every other level one chord."""
+    n = 12
+    chords = [(0, 6), (2, 8), (3, 9), (5, 11)]
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)] + chords)
+
+
+class TestCoefficientWalk:
+    """The walk's stream against the chunk-table loop it replaced, set by set."""
+
+    def test_corpora(self):
+        for g in _corpus() + _series_corpus():
+            assert _walk_stream(g) == chunk_table_bettis(g)
+
+    def test_split_graphs_past_one_subtree(self):
+        assert cycles._SUBTREE < 14
+        for k in range(1, 16):  # b1 = 0 .. 14
+            g = split_graph(k)
+            assert _walk_stream(g) == chunk_table_bettis(g)
+
+    def test_random_cubic_graphs(self):
+        rng = random.Random(61)
+        for b1 in range(3, 13):
+            for _ in range(2):
+                g = random_cubic_graph(rng, b1)
+                assert cycle_basis(g).dimension == b1
+                assert _walk_stream(g) == chunk_table_bettis(g)
+
+    def test_level_zero_holds_most_classes(self):
+        g = _chorded_cycle()
+        basis = [v.bits for v in cycle_basis(g).basis_vectors]
+        pairs, _, _, packed = cycles._series_classes(g, basis)
+        levels = cycles._levels(pairs, packed)
+        assert len(levels[0]) > len(pairs) // 2
+        assert _walk_stream(g) == chunk_table_bettis(g)
+
+    def test_disconnected_and_tiny_cycle_spaces(self):
+        rng = random.Random(67)
+        graphs = [Multigraph(0, ()), Multigraph(1, ()), path_graph(2), path_graph(9)]
+        graphs += [random_tree(rng, max_vertices=8) for _ in range(4)]  # b1 = 0
+        graphs += [loop_graph(), split_graph(2), cycle_graph(7)]  # b1 = 1
+        graphs += [_joined(cycle_graph(4), path_graph(4)), _joined(random_tree(rng), loop_graph())]
+        # several components, some of them trees
+        graphs += [random_graph(rng, max_b1=4) for _ in range(30)]
+        graphs += [build_graph(5, [(0, 1), (0, 1), (2, 3), (3, 4), (2, 4), (4, 4)])]
+        b1s = [cycle_basis(g).dimension for g in graphs]
+        parts = [len(connected_components(g)) for g in graphs]
+        assert {0, 1} <= set(b1s)
+        assert any(c > 1 and b1 > 1 for c, b1 in zip(parts, b1s))
+        for g in graphs:
+            assert _walk_stream(g) == chunk_table_bettis(g)
+
+    def test_stream_holds_one_subtree_at_a_time(self):
+        """b1 = 19: the 524,288 values as one list would take 4 MB."""
+        g = split_graph(20)
+        tracemalloc.start()
+        try:
+            profile = betti_profile(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(count for count, _ in profile.values()) == 1 << 19
+        assert peak < 1 << 20

@@ -191,13 +191,22 @@ class TestOneTraversal:
         assert b1 == 0
 
     def test_long_pendant_trees_counted_near_linearly(self):
-        """b1 reads the component count from the DFS.  The closing-edge
-        kernel, which links roots without ranks, chains every vertex when
-        it takes these pendant edges in index order: counted that way, this
-        graph's b1 took about 13 s on a 2-vCPU VM."""
+        """b1 reads the component count from the DFS.  A union-find that
+        links roots without ranks or path compression chains every vertex
+        when it takes these pendant edges in index order: counted that way,
+        this graph's b1 took about 13 s on a 2-vCPU VM."""
         g = cycle_with_pendant_trees(45000, random.Random(3))
         start = time.perf_counter()
         assert betti_number(g) == 1
+        assert time.perf_counter() - start < 2.0
+
+    def test_subset_betti_halves_find_paths(self):
+        """subset_betti counts closing edges in such a union-find; path
+        halving keeps the chain short (about 11 s without it, 0.2 s with
+        it, on a 2-vCPU VM)."""
+        g = cycle_with_pendant_trees(45000, random.Random(3))
+        start = time.perf_counter()
+        assert subset_betti(g, EdgeSubset.full(g.edge_count)) == 1
         assert time.perf_counter() - start < 2.0
 
 

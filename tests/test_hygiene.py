@@ -3,8 +3,8 @@ used by that module.  Names listed in ``__all__`` count as used, and
 ``from __future__ import annotations`` is exempt.  Every module-level
 ``_private`` name of ``src/spincomb`` is read somewhere in the package, so
 a removed caller cannot leave its helper behind.  Every Python file of the
-package, the tests and the demos parses under the grammar of Python 3.10,
-the oldest version ``pyproject.toml`` declares."""
+package, the tests, the demos and the tools parses under the grammar of
+Python 3.10, the oldest version ``pyproject.toml`` declares."""
 
 import ast
 from pathlib import Path
@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "spincomb").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-SOURCES = MODULES + sorted((ROOT / "demos").glob("*.py"))
+SOURCES = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
