@@ -180,11 +180,14 @@ def _levels(pairs: Tuple[Edge, ...], packed: List[int]) -> List[List[Tuple[int, 
     return levels
 
 
-def _join(level: List[Tuple[int, int, int]], cur: int, parent: List[int], log: List[int]) -> int:
+def _join(
+    level: List[Tuple[int, int, int]], cur: int, parent: List[int], size: List[int], log: List[int]
+) -> int:
     """Join the classes of ``level`` that the set ``cur`` holds to the
-    union-find forest ``parent``, logging each root it links; return how
-    many of them close a cycle.  No ranks: the forest only spans the end
-    vertices of the classes of one set, and linking by size timed slower."""
+    union-find forest ``parent``, the smaller tree under the larger
+    (``size`` counts each root's vertices), and log each root it links;
+    return how many of the classes close a cycle.  No path compression, so
+    that undoing a link is resetting one parent and one size."""
     closed = 0
     for bit, a, b in level:
         if cur & bit:
@@ -195,7 +198,10 @@ def _join(level: List[Tuple[int, int, int]], cur: int, parent: List[int], log: L
             if a == b:
                 closed += 1
             else:
+                if size[a] > size[b]:
+                    a, b = b, a
                 parent[a] = b
+                size[b] += size[a]
                 log.append(a)
     return closed
 
@@ -204,6 +210,7 @@ def _walk(
     levels: List[List[Tuple[int, int, int]]],
     packed: List[int],
     parent: List[int],
+    size: List[int],
     log: List[int],
     j: int,
     acc: int,
@@ -219,7 +226,8 @@ def _walk(
     child (coefficient 0, then 1) joins the classes of level j in its set,
     recurses and undoes its links.  Under level 0 the children are leaves:
     they split the classes of level 0 between them, and each joins its
-    share in a copy of the forest.
+    share in a copy of the forest that is then dropped, so it links
+    without sizes and undoes nothing.
     """
     if j == 0:
         p0 = parent[:]
@@ -250,9 +258,11 @@ def _walk(
     level = levels[j]
     mark = len(log)
     for cur in (acc, acc ^ packed[j]):
-        _walk(levels, packed, parent, log, j - 1, cur, n1 + _join(level, cur, parent, log), out)
+        closed = n1 + _join(level, cur, parent, size, log)
+        _walk(levels, packed, parent, size, log, j - 1, cur, closed, out)
         while len(log) > mark:
             a = log.pop()
+            size[parent[a]] -= size[a]
             parent[a] = a
 
 
@@ -260,6 +270,7 @@ def _subtrees(
     levels: List[List[Tuple[int, int, int]]],
     packed: List[int],
     parent: List[int],
+    size: List[int],
     log: List[int],
     j: int,
     acc: int,
@@ -269,15 +280,16 @@ def _subtrees(
     b1 values per subtree below it, in counter order."""
     if j < _SUBTREE:
         out: List[int] = []
-        _walk(levels, packed, parent, log, j, acc, n1, out)
+        _walk(levels, packed, parent, size, log, j, acc, n1, out)
         yield out
         return
     mark = len(log)
     for cur in (acc, acc ^ packed[j]):
-        closed = n1 + _join(levels[j], cur, parent, log)
-        yield from _subtrees(levels, packed, parent, log, j - 1, cur, closed)
+        closed = n1 + _join(levels[j], cur, parent, size, log)
+        yield from _subtrees(levels, packed, parent, size, log, j - 1, cur, closed)
         while len(log) > mark:
             a = log.pop()
+            size[parent[a]] -= size[a]
             parent[a] = a
 
 
@@ -299,7 +311,8 @@ def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
     if not basis:
         return basis, iter((0,))
     pairs, _, n, packed = _series_classes(g, basis)
-    walk = _subtrees(_levels(pairs, packed), packed, list(range(n)), [], len(packed) - 1, 0, 0)
+    parent, size = list(range(n)), [1] * n
+    walk = _subtrees(_levels(pairs, packed), packed, parent, size, [], len(packed) - 1, 0, 0)
     return basis, chain.from_iterable(walk)
 
 

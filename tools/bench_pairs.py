@@ -89,9 +89,22 @@ def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, wor
     return {"result": result, "unscaled": parse_rows(lines[start + 1:-1])}
 
 
+def paired(revs: Dict[str, str], workload: str, seeds: List[int], seconds: float, trace: int,
+           work: Path) -> List[dict]:
+    """Both sides on each seed, back to back: the parent first on even pair
+    indices, the change first on odd ones."""
+    runs = []
+    for k, seed in enumerate(seeds):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            out = run_once(revs[side], workload, seed, seconds, trace, work)
+            runs.append({"workload": workload, "seed": seed, "side": side, **out})
+            print(f"{workload} {seed} {side} trace {trace}: {out.get('error', 'ok')}", flush=True)
+    return runs
+
+
 def quartile_pair(values: List[float]) -> List[float]:
     if len(values) < 2:
-        return [values[0], values[0]] if values else []
+        return [round(values[0], 4)] * 2
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [round(q1, 4), round(q3, 4)]
 
@@ -204,38 +217,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     seeds = seed_list(args.seeds)
     runs, traced = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        work = Path(tmp)
         for workload in args.workloads:
-            for k, seed in enumerate(seeds):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                for side in order:
-                    out = run_once(revs[side], workload, seed, args.seconds, 0, work)
-                    runs.append({"workload": workload, "seed": seed, "side": side, **out})
-                    status = out.get("error") or f"run_s {out['result']['metrics']['run_s']['value']:.4f}"
-                    print(f"{workload} {seed} {side}: {status}", flush=True)
-            for k, seed in enumerate(args.trace_seeds):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                for side in order:
-                    out = run_once(revs[side], workload, seed, args.seconds, 1, work)
-                    traced.append({"workload": workload, "seed": seed, "side": side, **out})
-                    print(f"{workload} {seed} {side} traced: {out.get('error', 'ok')}", flush=True)
+            runs += paired(revs, workload, seeds, args.seconds, 0, Path(tmp))
+            traced += paired(revs, workload, args.trace_seeds, args.seconds, 1, Path(tmp))
     report = {
         "command": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {args.seconds:g} --trace 0",
         "machine": args.machine,
-        "sides": {"parent": f"commit {revs['parent'][:7]}", "change": f"commit {revs['change'][:7]}"},
-        "method": f"{len(seeds)} pairs per workload, seeds {args.seeds}; tools/bench_pairs.py runs "
-                  "each run from a fresh git archive of its commit with PYTHONDONTWRITEBYTECODE=1; "
-                  "pair k runs the parent first when k is even and the change first when k is "
-                  "odd; quartiles are statistics.quantiles (inclusive); ties count for neither "
-                  "side; change_worse_by is negative when the change is better",
+        "sides": {side: f"commit {rev[:7]}" for side, rev in revs.items()},
+        "method": f"{len(seeds)} pairs per workload, seeds {args.seeds}; tools/bench_pairs.py "
+                  "runs each run from a fresh git archive of its commit with "
+                  "PYTHONDONTWRITEBYTECODE=1; pair k runs the parent first when k is even and "
+                  "the change first when k is odd; quartiles are statistics.quantiles "
+                  "(inclusive); ties count for neither side; change_worse_by is negative when "
+                  "the change is better",
         "claim": args.claim,
         "summary": summarise(runs, bench["end_to_end"], seeds),
         "pass_floor": pass_floor(runs),
         "failures": [{k: r[k] for k in ("workload", "seed", "side", "error")}
                      for r in runs + traced if "error" in r],
         "notes": args.note,
-        "runs": [{k: v for k, v in r.items() if k != "unscaled"} for r in runs],
+        "runs": runs,
     }
     if traced:
         report["per_layer"] = {
