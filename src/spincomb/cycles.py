@@ -33,7 +33,8 @@ from .graphs import (
 ENUMERATION_CAP = 30
 
 #: The walk hands on the b1 of the sets below each node at this depth as one
-#: list, so a pass holds at most 2^_SUBTREE values at once.
+#: list, so a pass holds at most 2^_SUBTREE values at once; above it, each
+#: subtree starts from a fresh forest.
 _SUBTREE = 12
 
 
@@ -266,31 +267,19 @@ def _walk(
             parent[a] = a
 
 
-def _subtrees(
-    levels: List[List[Tuple[int, int, int]]],
-    packed: List[int],
-    parent: List[int],
-    size: List[int],
-    log: List[int],
-    j: int,
-    acc: int,
-    n1: int,
-) -> Iterator[List[int]]:
-    """The walk of :func:`_walk` above depth :data:`_SUBTREE`, one list of
-    b1 values per subtree below it, in counter order."""
-    if j < _SUBTREE:
-        out: List[int] = []
-        _walk(levels, packed, parent, size, log, j, acc, n1, out)
-        yield out
-        return
-    mark = len(log)
-    for cur in (acc, acc ^ packed[j]):
-        closed = n1 + _join(levels[j], cur, parent, size, log)
-        yield from _subtrees(levels, packed, parent, size, log, j - 1, cur, closed)
-        while len(log) > mark:
-            a = log.pop()
-            size[parent[a]] -= size[a]
-            parent[a] = a
+def _subtree(
+    levels: List[List[Tuple[int, int, int]]], packed: List[int], n: int, low: int, acc: int
+) -> List[int]:
+    """The b1 of the 2^low sets that take the basis vectors from ``low`` up
+    whose XOR is ``acc``, in counter order: the classes those vectors decide
+    join a fresh forest, and :func:`_walk` does the rest."""
+    parent, size, log = list(range(n)), [1] * n, []
+    n1 = 0
+    for level in levels[low:]:
+        n1 += _join(level, acc, parent, size, log)
+    out: List[int] = []
+    _walk(levels, packed, parent, size, log, low - 1, acc, n1, out)
+    return out
 
 
 def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
@@ -311,9 +300,10 @@ def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
     if not basis:
         return basis, iter((0,))
     pairs, _, n, packed = _series_classes(g, basis)
-    parent, size = list(range(n)), [1] * n
-    walk = _subtrees(_levels(pairs, packed), packed, parent, size, [], len(packed) - 1, 0, 0)
-    return basis, chain.from_iterable(walk)
+    levels = _levels(pairs, packed)
+    low = min(len(packed), _SUBTREE)
+    tops = _counter_order(packed[low:])
+    return basis, chain.from_iterable(_subtree(levels, packed, n, low, acc) for acc in tops)
 
 
 def betti_profile(g: Multigraph) -> Dict[int, Tuple[int, EdgeSubset]]:

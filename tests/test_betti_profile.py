@@ -422,6 +422,16 @@ class TestCoefficientWalk:
             g = split_graph(k)
             assert _walk_stream(g) == chunk_table_bettis(g)
 
+    def test_every_subtree_depth(self, monkeypatch):
+        """Shallow subtrees put most basis vectors above them, each subtree
+        starting from a fresh forest; the stream stays the same."""
+        rng = random.Random(71)
+        graphs = _corpus() + [random_cubic_graph(rng, b1) for b1 in range(3, 9)]
+        want = [chunk_table_bettis(g) for g in graphs]
+        for depth in (1, 2, 5):
+            monkeypatch.setattr(cycles, "_SUBTREE", depth)
+            assert [_walk_stream(g) for g in graphs] == want
+
     def test_random_cubic_graphs(self):
         rng = random.Random(61)
         for b1 in range(3, 13):
