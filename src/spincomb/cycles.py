@@ -294,7 +294,9 @@ def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
     and the links are undone as the walk leaves each subtree (Westbrook &
     Tarjan, SIAM J. Comput. 1989), so a class is joined once per subtree
     rather than once per set.  The b1 of a set is the number of its classes
-    that close a cycle.
+    that close a cycle.  Above depth :data:`_SUBTREE` the coefficients run
+    in counter order, each subtree from a fresh forest (:func:`_subtree`),
+    and the values stream one subtree's list at a time.
     """
     basis = _basis_bits(g)
     if not basis:
