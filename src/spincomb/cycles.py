@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import or_, xor
 from typing import Dict, Iterator, List, Tuple
 
@@ -24,9 +24,6 @@ from .graphs import (
     Multigraph,
     ZeroChain,
     _smooth,
-    _valencies,
-    connected_components,
-    induced_subgraph,
 )
 
 #: Enumerating a cycle space of dimension above this is refused.
@@ -52,15 +49,17 @@ class CycleBasis:
 
 
 def boundary(g: Multigraph, s: EdgeSubset) -> ZeroChain:
-    """GF(2) sum of endpoint pairs; a loop contributes nothing."""
+    """GF(2) sum of endpoint pairs; a loop contributes nothing.  Each
+    vertex's parity is kept in a byte array, so the sum is O(n + m)."""
     if s.width != g.edge_count:
         raise WidthMismatchError(s.width, g.edge_count)
-    bits = 0
+    parity = bytearray(g.vertex_count)  # a loop flips its vertex twice
     for eid in s.indices():
         a, b = g.edges[eid]
-        if a != b:
-            bits ^= (1 << a) | (1 << b)
-    return ZeroChain(bits, g.vertex_count)
+        parity[a] ^= 1
+        parity[b] ^= 1
+    odd = compress(range(g.vertex_count), parity)
+    return ZeroChain(EdgeSubset.from_indices(g.vertex_count, odd).bits, g.vertex_count)
 
 
 def is_cyclic(g: Multigraph, s: EdgeSubset) -> bool:
@@ -146,9 +145,10 @@ def _series_classes(
     smooths, at the vertices whose support edges are two non-loop edges and
     so lie in the same cyclic sets (never at a loop's vertex): a chain of
     them becomes one pair, a whole cycle a loop.  Every cyclic set is a
-    union of whole classes, and smoothing keeps its b1.  When nothing
-    smooths, every edge is a class of its own, bridges included (no cyclic
-    set holds one), and the vertices and the basis stay as they are.
+    union of whole classes, and smoothing keeps its b1.  Only the vertices
+    on some cycle are kept.  When there are no others and nothing smooths,
+    every edge is a class of its own, bridges included (no cyclic set holds
+    one), and the vertices and the basis stay as they are.
     """
     edges = g.edges
     support = reduce(or_, basis, 0)
@@ -351,64 +351,45 @@ def is_eulerian(g: Multigraph) -> bool:
 
 
 def is_circuit(g: Multigraph, s: EdgeSubset) -> bool:
-    """Nonempty, connected, and every vertex of valency exactly 2."""
-    if s.width != g.edge_count:
-        raise WidthMismatchError(s.width, g.edge_count)
-    if not s:
-        return False
-    sub = induced_subgraph(g, s)
-    if len(connected_components(sub)) != 1:
-        return False
-    return all(x == 2 for x in _valencies(sub)[0])
+    """A nonempty cyclic set that :func:`circuit_decomposition` peels as one
+    circuit, i.e. connected with every vertex of valency 2."""
+    return is_cyclic(g, s) and len(circuit_decomposition(g, s)) == 1
 
 
 def circuit_decomposition(g: Multigraph, s: EdgeSubset) -> List[EdgeSubset]:
     """Edge-disjoint circuits whose union is s.
 
-    Deterministic peeling: walk from the lowest-index remaining edge,
-    always taking the lowest-index unused incident edge, until a vertex
-    of the walk repeats; the enclosed cycle is peeled off.
+    Deterministic peeling: walk from the lower end of the lowest unused
+    edge, always taking the lowest unused edge at the current vertex, until
+    a vertex of the walk repeats; peel off the cycle it closed and go on
+    from that vertex.  A restart from the lowest unused edge would retrace
+    the walk up to there: a peel only shrinks the choices before it, and
+    each edge chosen stays the lowest.  A cursor per vertex makes it O(n + m).
     """
     if not is_cyclic(g, s):
         raise NotCyclicError("subset has a vertex of odd valency")
-    inc: dict = {}
-    for eid in s.indices():
-        a, b = g.edges[eid]
-        inc.setdefault(a, []).append(eid)
-        if a != b:
-            inc.setdefault(b, []).append(eid)
-    for lst in inc.values():
-        lst.sort()
-
-    remaining = set(s.indices())
-    width = g.edge_count
+    inc, cursor = g.incidence(), [0] * g.vertex_count
+    unused = set(s.indices())
     parts: List[EdgeSubset] = []
-    while remaining:
-        start = min(remaining)
-        a, b = g.edges[start]
-        if a == b:
-            remaining.discard(start)
-            parts.append(EdgeSubset(1 << start, width))
-            continue
-        walk_edges = [start]
-        position = {a: 0, b: 1}
-        current = b
-        while True:
-            step = None
-            for eid in inc[current]:
-                if eid in remaining and eid not in walk_edges:
-                    step = eid
-                    break
-            # Even valencies guarantee a continuation before exhaustion.
-            x, y = g.edges[step]
-            nxt = y if x == current else x
-            walk_edges.append(step)
+    for first in s.indices():
+        path, trail = [g.edges[first][0]], []  # the walk's vertices and edges
+        position = {path[0]: 0}
+        while first in unused or trail:
+            v = path[-1]
+            row, k = inc[v], cursor[v]
+            while row[k][0] not in unused:  # even valencies leave one
+                k += 1
+            cursor[v] = k
+            eid, nxt = row[k]
+            unused.discard(eid)
             if nxt in position:
                 i = position[nxt]
-                circuit = walk_edges[i:]
-                remaining.difference_update(circuit)
-                parts.append(EdgeSubset.from_indices(width, circuit))
-                break
-            position[nxt] = len(position)
-            current = nxt
+                parts.append(EdgeSubset.from_indices(g.edge_count, trail[i:] + [eid]))
+                for w in path[i + 1:]:
+                    del position[w]
+                del path[i + 1:], trail[i:]
+            else:
+                position[nxt] = len(path)
+                path.append(nxt)
+                trail.append(eid)
     return parts

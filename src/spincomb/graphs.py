@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BadIndexError, IsolatedVertexError, WidthMismatchError
 
 Edge = Tuple[int, int]
+
+#: The set bits of each byte value, lowest first: masks are read byte by byte.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,13 @@ class EdgeSubset:
         return self.bits != 0
 
     def indices(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        """The set bits in increasing order, read byte by byte (the mirror
+        of :meth:`from_indices`), so the whole list is O(width)."""
+        data = self.bits.to_bytes(self.width // 8 + 1, "little")
+        for k in compress(range(len(data)), data):  # the nonzero bytes
+            base = 8 * k
+            for i in _BYTE_BITS[data[k]]:
+                yield base + i
 
     def intersects(self, other: "EdgeSubset") -> bool:
         return bool(self.bits & other.bits)
@@ -162,11 +168,12 @@ def _smooth(
     A vertex of valency 0 is neither superstable nor reducible, and a loop
     is never removed, so a whole cycle ends as a loop.
 
-    None when no operation applies; else the core's vertex count, its edges
-    and, for each, the OR of the masks of the edges of g it replaced
-    (``masks[i]`` is edge i's).  Vertices left with an edge keep their
-    order and are relabelled 0, 1, ...; the surviving edges of g keep
-    theirs, and merged edges follow them in order of creation.
+    None when no operation applies and every vertex has an edge; else the
+    core's vertex count, its edges and, for each, the OR of the masks of the
+    edges of g it replaced (``masks[i]`` is edge i's).  Only the vertices
+    left with an edge are kept: they keep their order and are relabelled
+    0, 1, ...; the surviving edges of g keep theirs, and merged edges follow
+    them in order of creation.
 
     One heap pass in O((n + m) log n): each popped vertex is re-checked,
     and an operation touches at most two neighbours, which go back on it.
@@ -177,7 +184,7 @@ def _smooth(
         return val[v] == 1 or val[v] == 2 and not loop[v]
 
     heap = [v for v in range(len(val)) if applicable(v)]
-    if not heap:
+    if not heap and all(val):
         return None
     edges: List[Optional[Edge]] = list(g.edges)
     masks = list(masks)

@@ -14,15 +14,18 @@ from typing import List, Sequence, Tuple
 import pytest
 
 from spincomb import (
+    EdgeSubset,
     Multigraph,
     build_graph,
     connected_components,
     eliminate_valency1,
+    induced_subgraph,
+    is_cyclic,
     smooth_valency2,
     valency,
 )
 from spincomb.cycles import _series_classes
-from spincomb.errors import VanishingComponentError
+from spincomb.errors import NotCyclicError, VanishingComponentError, WidthMismatchError
 from spincomb.graphs import _valencies
 
 Edge = Tuple[int, int]
@@ -316,6 +319,67 @@ def dict_union_find_betti(g: Multigraph, bits: int) -> int:
             parent[ra] = rb
             n_comp -= 1
     return n_edges - len(parent) + n_comp
+
+
+def restarting_decomposition(g: Multigraph, s: EdgeSubset) -> List[EdgeSubset]:
+    """Circuit peeling that restarts after every peel: walk from the
+    lowest-index remaining edge, always taking the lowest-index unused
+    incident edge, until a vertex of the walk repeats; peel the enclosed
+    cycle and start again from the lowest remaining edge."""
+    if not is_cyclic(g, s):
+        raise NotCyclicError("subset has a vertex of odd valency")
+    inc: dict = {}
+    for eid in s.indices():
+        a, b = g.edges[eid]
+        inc.setdefault(a, []).append(eid)
+        if a != b:
+            inc.setdefault(b, []).append(eid)
+    for lst in inc.values():
+        lst.sort()
+
+    remaining = set(s.indices())
+    width = g.edge_count
+    parts: List[EdgeSubset] = []
+    while remaining:
+        start = min(remaining)
+        a, b = g.edges[start]
+        if a == b:
+            remaining.discard(start)
+            parts.append(EdgeSubset.from_indices(width, [start]))
+            continue
+        walk_edges = [start]
+        position = {a: 0, b: 1}
+        current = b
+        while True:
+            step = None
+            for eid in inc[current]:
+                if eid in remaining and eid not in walk_edges:
+                    step = eid
+                    break
+            x, y = g.edges[step]
+            nxt = y if x == current else x
+            walk_edges.append(step)
+            if nxt in position:
+                circuit = walk_edges[position[nxt]:]
+                remaining.difference_update(circuit)
+                parts.append(EdgeSubset.from_indices(width, circuit))
+                break
+            position[nxt] = len(position)
+            current = nxt
+    return parts
+
+
+def two_regular_connected(g: Multigraph, s: EdgeSubset) -> bool:
+    """The definition of a circuit: s is nonempty, and the subgraph it
+    induces is connected with every vertex of valency exactly 2."""
+    if s.width != g.edge_count:
+        raise WidthMismatchError(s.width, g.edge_count)
+    if not s:
+        return False
+    sub = induced_subgraph(g, s)
+    if count_components(sub.vertex_count, sub.edges) != 1:
+        return False
+    return all(x == 2 for x in _valencies(sub)[0])
 
 
 def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:

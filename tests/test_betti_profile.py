@@ -29,6 +29,7 @@ from conftest import (
     subdivided,
     subgraph_betti_oracle,
     tetrahedron,
+    with_pendant_trees,
 )
 from spincomb import (
     CurveDualGraph,
@@ -361,6 +362,22 @@ class TestSeriesClasses:
                 outside = [v for v in interior if on_support[v] != 2]
                 assert len(outside) <= (shape == "cycle")
         assert smoothed > len(graphs) // 2
+
+    def test_union_find_holds_only_cycle_vertices(self):
+        """Pendant trees on a cubic graph: nothing smooths, yet the classes
+        are labelled over the vertices on some cycle only, and the profile
+        stays the oracle's."""
+        rng = random.Random(67)
+        pendant = 0
+        for _ in range(20):
+            g = with_pendant_trees(random_cubic_graph(rng, rng.randint(3, 7)), rng)
+            basis, support, (pairs, masks, n, _) = _classes(g)
+            on_cycles = {v for eid, e in enumerate(g.edges) if support >> eid & 1 for v in e}
+            assert n == len(on_cycles)
+            assert len(masks) == bin(support).count("1")  # one class per cycle edge
+            assert {m: (c, w.bits) for m, (c, w) in betti_profile(g).items()} == _oracle_profile(g)
+            pendant += len(on_cycles) < g.vertex_count
+        assert pendant > 10
 
     def test_chain_becomes_one_pair(self):
         # K4 with edge 0-1 subdivided twice: 8 cycle edges, 6 classes on 4 vertices

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import random
@@ -386,7 +387,10 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: max_edges must be in 1..10\n"
 
-    def test_verify_names_the_k33_violation(self, capsys):
+    def test_verify_names_the_k33_violation(self, capsys, monkeypatch):
+        # one sweep serves both calls: the reports do not depend on --json
+        sweep = functools.cache(spincomb.cli.sweep_theorems)
+        monkeypatch.setattr(spincomb.cli, "sweep_theorems", sweep)
         assert main(["--json", "verify", "9"]) == 1
         data = json.loads(capsys.readouterr().out)
         k33 = canonical_form(build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)]))
@@ -403,6 +407,7 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         edges = " ".join(f"{a}-{b}" for a, b in k33.canonical_key)
         assert lines[3:] == [f"theorem2 violated by {edges}: B={{0, 1}}, classification=other"]
+        assert sweep.cache_info().misses == 1
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.curve"]) == 1

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from spincomb import (
@@ -15,11 +18,12 @@ from spincomb import (
     subset_betti,
     valency,
 )
-from spincomb.errors import CapExceededError, NotCyclicError
+from spincomb.errors import CapExceededError, NotCyclicError, WidthMismatchError
 
 from conftest import (
     count_components,
     cycle_basis_oracle,
+    cycle_graph,
     even_subset_bits_oracle,
     fat_triangle,
     in_gf2_span,
@@ -29,11 +33,14 @@ from conftest import (
     random_graph,
     random_multigraph,
     random_tree,
+    restarting_decomposition,
     split_graph,
     subdivided,
     subgraph_betti_oracle,
     tetrahedron,
+    two_regular_connected,
 )
+from test_betti_profile import _corpus
 
 
 class TestBoundary:
@@ -50,6 +57,28 @@ class TestBoundary:
         g = tetrahedron()
         triangle = EdgeSubset.from_indices(6, [0, 1, 3])
         assert boundary(g, triangle).is_zero
+
+    def test_odd_valency_vertices(self):
+        """Against the vertices of odd valency by direct counting, a loop
+        counting 2, on multigraphs with loops and parallel edges."""
+        rng = random.Random(97)
+        for _ in range(40):
+            g = random_multigraph(rng, rng.randint(1, 9), max_vertices=12)
+            for bits in range(min(1 << g.edge_count, 64)):
+                val = [0] * g.vertex_count
+                for eid, (a, b) in enumerate(g.edges):
+                    if bits >> eid & 1:
+                        val[a] += 1
+                        val[b] += 1
+                chain = boundary(g, EdgeSubset(bits, g.edge_count))
+                assert chain.width == g.vertex_count
+                assert chain.bits == sum(1 << v for v, d in enumerate(val) if d % 2)
+
+    def test_long_cycle_in_linear_time(self):
+        g = cycle_graph(200_000)
+        start = time.perf_counter()
+        assert boundary(g, EdgeSubset.full(g.edge_count)).is_zero
+        assert time.perf_counter() - start < 0.5
 
 
 class TestIsCyclic:
@@ -230,6 +259,29 @@ class TestIsCircuit:
     def test_empty_is_not_a_circuit(self):
         assert not is_circuit(loop_graph(), EdgeSubset.empty(1))
 
+    def test_width_mismatch_raises(self):
+        g = tetrahedron()
+        for s in (EdgeSubset.empty(5), EdgeSubset.full(7), EdgeSubset.from_indices(7, [6])):
+            with pytest.raises(WidthMismatchError):
+                is_circuit(g, s)
+            with pytest.raises(WidthMismatchError):
+                two_regular_connected(g, s)
+
+    def test_every_subset_against_oracle(self):
+        """Every edge subset of small multigraphs with loops and parallel
+        edges: empty, non-cyclic, cyclic in one piece and in several."""
+        rng = random.Random(83)
+        graphs = [loop_graph(), fat_triangle(), tetrahedron(), split_graph(4)]
+        graphs += [random_multigraph(rng, n, max_vertices=5) for n in range(1, 9) for _ in range(6)]
+        seen = set()
+        for g in graphs:
+            for bits in range(1 << g.edge_count):
+                s = EdgeSubset(bits, g.edge_count)
+                want = two_regular_connected(g, s)
+                assert is_circuit(g, s) == want
+                seen.add((bits == 0, is_cyclic(g, s), want))
+        assert seen == {(True, True, False), (False, False, False), (False, True, False), (False, True, True)}
+
     def test_against_definition(self, rng):
         """Every edge subset of small random graphs, against a component
         count and the per-vertex valency of the induced subgraph."""
@@ -280,6 +332,39 @@ class TestCircuitDecomposition:
             seen |= part.bits
             total ^= part
         assert total == s
+
+    def test_matches_restarting_oracle(self):
+        """Part for part, on every cyclic set of the Betti-profile corpus
+        and of seeded multigraphs with loops and parallel edges."""
+        rng = random.Random(89)
+        graphs = _corpus() + [random_multigraph(rng, n) for n in range(2, 11) for _ in range(6)]
+        graphs += [subdivided(g, rng) for g in graphs[-20:]]
+        sets = 0
+        for g in graphs:
+            for s in cyclic_sets(g):
+                parts = circuit_decomposition(g, s)
+                assert parts == restarting_decomposition(g, s)
+                # is_circuit is "peels as one circuit"
+                assert two_regular_connected(g, s) == (len(parts) == 1)
+                sets += 1
+        assert sets > 70000
+
+    def test_walk_goes_on_from_the_closing_vertex(self):
+        """A walk that closes a circuit away from its start: the lowest edge
+        leads to vertex 1, whose lowest other edge starts a triangle there;
+        the walk then goes on from vertex 1 back to 0."""
+        g = build_graph(3, [(0, 1), (1, 2), (1, 2), (0, 1)])
+        s = EdgeSubset.full(4)
+        assert [p.bits for p in circuit_decomposition(g, s)] == [0b0110, 0b1001]
+        assert circuit_decomposition(g, s) == restarting_decomposition(g, s)
+
+    def test_long_cycle_in_linear_time(self):
+        g = cycle_graph(20_000)
+        s = EdgeSubset.full(g.edge_count)
+        start = time.perf_counter()
+        parts = circuit_decomposition(g, s)
+        assert time.perf_counter() - start < 1.0
+        assert parts == [s]
 
     def test_deterministic(self):
         g = fat_triangle()

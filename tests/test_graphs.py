@@ -334,3 +334,18 @@ class TestEdgeSubsetAlgebra:
         assert sorted(s.indices()) == [0, 3, 7]
         assert len(s) == 3
         assert 3 in s and 4 not in s
+
+    @given(st.integers(0, 40).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, 2**w - 1))))
+    def test_indices_are_the_set_bits_in_order(self, case):
+        width, bits = case
+        got = list(EdgeSubset(bits, width).indices())
+        assert got == [i for i in range(width) if bits >> i & 1]
+        assert EdgeSubset.from_indices(width, got).bits == bits
+
+    def test_full_mask_listed_in_linear_time(self):
+        """Read byte by byte; taking the lowest bit out of the whole int for
+        each index took about 3.5 s here, on a 2-vCPU VM."""
+        start = time.perf_counter()
+        got = list(EdgeSubset.full(200_000).indices())
+        assert time.perf_counter() - start < 0.5
+        assert got == list(range(200_000))
