@@ -18,20 +18,8 @@ from .curvefile import CurveFile, parse_curve
 from .cycles import cyclic_betti_set, is_eulerian
 from .enumeration import SweepReport, sweep_theorems
 from .errors import CapExceededError, CurveFileError, GraphError, VanishingComponentError
-from .graphs import (
-    Multigraph,
-    betti_number,
-    connected_components,
-    separating_edges,
-    separating_vertices,
-)
-from .spin import (
-    check_corollary_split,
-    curve_genus,
-    even_set_supports,
-    is_compact_type,
-    spin_report,
-)
+from .graphs import Multigraph, _lowpoint_dfs
+from .spin import check_corollary_split, curve_genus, even_set_supports, spin_report
 from .transforms import Verdict, check_theorems, classify, is_superstable, superstable_reduction
 
 
@@ -72,16 +60,15 @@ def _verdict_dict(v: Verdict, edge_names) -> dict:
 
 
 def cmd_analyze(cf: CurveFile) -> dict:
-    x = cf.to_dual_graph()
-    g = x.graph
-    bridges = separating_edges(g)
+    g = cf.to_dual_graph().graph
+    bridges, cuts, components = _lowpoint_dfs(g)  # the one traversal
     return {
         "edge_count": g.edge_count,
         "vertex_count": g.vertex_count,
-        "component_count": len(connected_components(g)),
-        "betti_number": betti_number(g),
-        "separating_edges": sorted(cf.edge_names[i] for i in bridges.indices()),
-        "separating_vertices": [cf.vertex_names[v] for v in separating_vertices(g)],
+        "component_count": len(components),
+        "betti_number": g.edge_count - g.vertex_count + len(components),
+        "separating_edges": sorted(cf.edge_names[i] for i in bridges),
+        "separating_vertices": [cf.vertex_names[v] for v in cuts],
         "eulerian": is_eulerian(g),
         "cyclic_betti_set": sorted(cyclic_betti_set(g)),
     }
@@ -115,7 +102,7 @@ def cmd_spin(cf: CurveFile) -> dict:
         },
         "multiplicity_set_exponents": sorted(report.multiplicity_set_exponents),
         "length": report.length,
-        "compact_type": is_compact_type(x),
+        "compact_type": report.b == 0,
     }
 
 

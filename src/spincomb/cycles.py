@@ -2,11 +2,12 @@
 
 Basis construction, membership, enumeration of all cyclic (= even) edge
 sets, the one-pass profile of their Betti numbers and the set of them, the
-eulerian test and circuit decomposition.  The b1 of each cyclic set comes
-from one walk, :func:`_betti_pass`, down the tree of basis coefficients
-over the series classes that the reduction's smoothing pass forms
-(:func:`_series_classes`), with a union-find that is undone as the walk
-leaves each subtree.
+eulerian test and circuit decomposition.  The basis is built once, on the
+core that the reduction's smoothing pass leaves (:func:`_class_basis`):
+each core edge stands for a series class of edges, and every cyclic set is
+a union of whole classes.  The b1 of each cyclic set comes from one walk,
+:func:`_betti_pass`, down the tree of basis coefficients over those
+classes, with a union-find that is undone as the walk leaves each subtree.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress
-from operator import or_, xor
+from operator import xor
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import CapExceededError, NotCyclicError, WidthMismatchError
@@ -71,13 +72,37 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
     """Fundamental cycles with respect to the lowest-edge-index spanning forest.
 
     Each non-forest edge e contributes forest-path(endpoints of e) + e;
-    a loop contributes just itself.  One union-find pass over the edges in
-    index order finds both: up[x] holds the forest edges from x to
-    parent[x], and from x to its root once find(x) has run, so the forest
-    path between two vertices of one tree is up[a] ^ up[b].
+    a loop contributes just itself.  Built on the core (:func:`_class_basis`,
+    uncapped) and lifted to g; the path uses only edges below e, so each
+    vector's highest edge is its non-forest edge.
     """
-    parent = list(range(g.vertex_count))
-    up = [0] * g.vertex_count
+    width = g.edge_count
+    _, _, masks, packed = _class_basis(g, capped=False)
+    vectors = _lift(masks, packed)
+    closing = EdgeSubset.from_indices(width, (v.bit_length() - 1 for v in vectors))
+    forest = EdgeSubset.full(width) ^ closing
+    return CycleBasis(width, tuple(EdgeSubset(v, width) for v in vectors), forest)
+
+
+def _class_basis(
+    g: Multigraph, capped: bool
+) -> Tuple[int, Tuple[Edge, ...], List[int], List[int]]:
+    """The cycle basis of g over its core (:func:`graphs._smooth`): the
+    core's vertex count and edges, each core edge's series class as a mask
+    of the edges of g it replaced, and the basis with bit i for core edge i.
+    With ``capped``, a b1 above :data:`ENUMERATION_CAP` is refused before
+    any mask or vector exists: the one place the cap is read.
+
+    A class passes only vertices without other edges, so every cyclic set
+    is a union of whole classes.  In g's lowest-index spanning forest every
+    edge of a class but its highest is a forest edge, and the highest is
+    one iff the class's ends are not yet joined when it comes.  So the
+    union-find pass over the core edges in order of their highest edge
+    gives g's fundamental cycles in order (up[x]: the forest classes from x
+    to parent[x], and to the root once find(x) has run).
+    """
+    n, pairs, core = _smooth(g)
+    parent, up = list(range(n)), [0] * n
 
     def find(x: int) -> int:
         path = []
@@ -89,28 +114,37 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
             parent[v] = x
         return x
 
-    width = g.edge_count
-    forest_bits = 0
-    vectors = []
-    for eid, (a, b) in enumerate(g.edges):
+    if capped:  # count the closing edges, in any order
+        b1 = 0
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
+            b1 += ra == rb
+            parent[ra] = rb
+        if b1 > ENUMERATION_CAP:
+            raise CapExceededError(b1, ENUMERATION_CAP)
+        parent = list(range(n))
+    members: List[List[int]] = [[] for _ in pairs]
+    for eid, c in enumerate(core):
+        if c >= 0:
+            members[c].append(eid)
+    packed = []
+    for c in sorted(range(len(pairs)), key=lambda c: members[c][-1]):
+        a, b = pairs[c]
         ra, rb = find(a), find(b)
-        cycle = up[a] ^ up[b] ^ 1 << eid
+        cycle = up[a] ^ up[b] ^ 1 << c
         if ra != rb:
             parent[ra] = rb
             up[ra] = cycle
-            forest_bits |= 1 << eid
         else:
-            vectors.append(EdgeSubset(cycle, width))
-    return CycleBasis(width, tuple(vectors), EdgeSubset(forest_bits, width))
+            packed.append(cycle)
+    masks = [EdgeSubset.from_indices(g.edge_count, ids).bits for ids in members]
+    return n, pairs, masks, packed
 
 
-def _basis_bits(g: Multigraph) -> List[int]:
-    """The cycle basis as bitmasks, refused when longer than
-    :data:`ENUMERATION_CAP`: the one place the cap is read."""
-    basis = [v.bits for v in cycle_basis(g).basis_vectors]
-    if len(basis) > ENUMERATION_CAP:
-        raise CapExceededError(len(basis), ENUMERATION_CAP)
-    return basis
+def _lift(masks: List[int], packed: List[int]) -> List[int]:
+    """Vectors over the classes as edge masks of g: the classes are
+    disjoint, so each is the sum of its classes' masks."""
+    return [sum(masks[c] for c in EdgeSubset(v, len(masks)).indices()) for v in packed]
 
 
 def _counter_order(basis: List[int]) -> Iterator[int]:
@@ -130,36 +164,8 @@ def cyclic_sets(g: Multigraph) -> Iterator[EdgeSubset]:
     coefficient-counter order.  A cycle space past
     :data:`ENUMERATION_CAP` is refused on the call."""
     width = g.edge_count
-    return (EdgeSubset(bits, width) for bits in _counter_order(_basis_bits(g)))
-
-
-def _series_classes(
-    g: Multigraph, basis: List[int]
-) -> Tuple[Tuple[Edge, ...], List[int], int, List[int]]:
-    """The series classes of the edges on some cycle (the support of the
-    basis): each class's endpoint pair after smoothing, its edge mask, the
-    number of vertices the pairs are labelled over, and the basis with bit i
-    standing for class i.
-
-    The support has no vertex of valency 1, so :func:`graphs._smooth` only
-    smooths, at the vertices whose support edges are two non-loop edges and
-    so lie in the same cyclic sets (never at a loop's vertex): a chain of
-    them becomes one pair, a whole cycle a loop.  Every cyclic set is a
-    union of whole classes, and smoothing keeps its b1.  Only the vertices
-    on some cycle are kept.  When there are no others and nothing smooths,
-    every edge is a class of its own, bridges included (no cyclic set holds
-    one), and the vertices and the basis stay as they are.
-    """
-    edges = g.edges
-    support = reduce(or_, basis, 0)
-    ids = [eid for eid in range(len(edges)) if support >> eid & 1]
-    on_cycles = Multigraph(g.vertex_count, tuple(edges[eid] for eid in ids))
-    core = _smooth(on_cycles, [1 << eid for eid in ids])
-    if core is None:
-        return edges, [1 << eid for eid in range(len(edges))], g.vertex_count, basis
-    n, pairs, masks = core
-    packed = [sum(1 << i for i, m in enumerate(masks) if v & m) for v in basis]
-    return pairs, masks, n, packed
+    _, _, masks, packed = _class_basis(g, capped=True)
+    return (EdgeSubset(bits, width) for bits in _counter_order(_lift(masks, packed)))
 
 
 def _levels(pairs: Tuple[Edge, ...], packed: List[int]) -> List[List[Tuple[int, int, int]]]:
@@ -171,13 +177,7 @@ def _levels(pairs: Tuple[Edge, ...], packed: List[int]) -> List[List[Tuple[int, 
     for v in packed:
         new = v & ~seen
         seen |= v
-        level = []
-        while new:
-            low = new & -new
-            new ^= low
-            a, b = pairs[low.bit_length() - 1]
-            level.append((low, a, b))
-        levels.append(level)
+        levels.append([(1 << c, *pairs[c]) for c in EdgeSubset(new, len(pairs)).indices()])
     return levels
 
 
@@ -286,22 +286,22 @@ def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
     """The cycle basis, cap-checked on the call, and the b1 of every cyclic
     set in the order of :func:`cyclic_sets`, computed as it is read.
 
-    The sets run over the series classes (see :func:`_series_classes`).  A
+    The sets run over the series classes (see :func:`_class_basis`).  A
     depth-first walk of the tree of basis coefficients, the last basis
     vector decided first and 0 taken before 1, reaches them in counter
-    order.  Each class joins one union-find over the class end vertices at
-    the level of the lowest basis vector that holds it (:func:`_levels`),
-    and the links are undone as the walk leaves each subtree (Westbrook &
+    order.  Each class joins one union-find over the core vertices at the
+    level of the lowest basis vector that holds it (:func:`_levels`), and
+    the links are undone as the walk leaves each subtree (Westbrook &
     Tarjan, SIAM J. Comput. 1989), so a class is joined once per subtree
     rather than once per set.  The b1 of a set is the number of its classes
     that close a cycle.  Above depth :data:`_SUBTREE` the coefficients run
     in counter order, each subtree from a fresh forest (:func:`_subtree`),
     and the values stream one subtree's list at a time.
     """
-    basis = _basis_bits(g)
-    if not basis:
+    n, pairs, masks, packed = _class_basis(g, capped=True)
+    basis = _lift(masks, packed)
+    if not packed:
         return basis, iter((0,))
-    pairs, _, n, packed = _series_classes(g, basis)
     levels = _levels(pairs, packed)
     low = min(len(packed), _SUBTREE)
     tops = _counter_order(packed[low:])

@@ -159,24 +159,23 @@ def _valencies(g: Multigraph) -> Tuple[List[int], List[bool]]:
     return val, loop
 
 
-def _smooth(
-    g: Multigraph, masks: List[int]
-) -> Optional[Tuple[int, Tuple[Edge, ...], List[int]]]:
+def _smooth(g: Multigraph) -> Tuple[int, Tuple[Edge, ...], List[int]]:
     """Drop the edge at a vertex of valency 1, or merge the two edges at one
     of valency 2 without a loop, until neither applies, always at the
     lowest such vertex (operations 1 and 2 of :mod:`spincomb.transforms`).
     A vertex of valency 0 is neither superstable nor reducible, and a loop
     is never removed, so a whole cycle ends as a loop.
 
-    None when no operation applies and every vertex has an edge; else the
-    core's vertex count, its edges and, for each, the OR of the masks of the
-    edges of g it replaced (``masks[i]`` is edge i's).  Only the vertices
-    left with an edge are kept: they keep their order and are relabelled
-    0, 1, ...; the surviving edges of g keep theirs, and merged edges follow
-    them in order of creation.
+    The core's vertex count, its edges and, for each edge of g, the index of
+    the core edge it became part of, or -1 if an operation 1 dropped it.
+    Only the vertices left with an edge are kept: they keep their order and
+    are relabelled 0, 1, ...; the surviving edges of g keep theirs, and
+    merged edges follow them in order of creation.
 
     One heap pass in O((n + m) log n): each popped vertex is re-checked,
     and an operation touches at most two neighbours, which go back on it.
+    Each merged edge records the edge it went into, always a later one, so
+    the map to the core is resolved once, from the last edge down.
     """
     val, loop = _valencies(g)  # a removed vertex gets valency 0
 
@@ -185,32 +184,38 @@ def _smooth(
 
     heap = [v for v in range(len(val)) if applicable(v)]
     if not heap and all(val):
-        return None
+        return len(val), g.edges, list(range(len(g.edges)))
     edges: List[Optional[Edge]] = list(g.edges)
-    masks = list(masks)
-    incident = [{eid for eid, _ in pairs} for pairs in g.incidence()]
+    into = [-1] * len(edges)  # the edge a merged edge went into
+    # removed edges stay listed (as None); a loop's vertex never smooths,
+    # so its list is never read
+    incident: List[List[int]] = [[] for _ in val]
+    for eid, (a, b) in enumerate(edges):
+        incident[a].append(eid)
+        incident[b].append(eid)
     while heap:
         v = heapq.heappop(heap)
         if not applicable(v):
             continue  # removed, or changed since it was pushed
         d, val[v] = val[v], 0
+        new = len(edges)  # the id of the merged edge, if any
         far = []
-        merged = 0
         for eid in incident[v]:
+            if edges[eid] is None:
+                continue
             a, b = edges[eid]
-            u = b if a == v else a
-            incident[u].discard(eid)
+            far.append(b if a == v else a)
             edges[eid] = None
-            merged |= masks[eid]
-            far.append(u)
+            if d == 2:
+                into[eid] = new
         if d == 1:  # operation 1: the neighbour loses the edge
             val[far[0]] -= 1
         else:  # operation 2: the two edges become one, valencies unchanged
-            u, w = sorted(far)
-            incident[u].add(len(edges))
-            incident[w].add(len(edges))
+            u, w = min(far), max(far)
+            incident[u].append(new)
+            incident[w].append(new)
             edges.append((u, w))
-            masks.append(merged)
+            into.append(-1)
             if u == w:  # two parallel edges merge into a loop
                 loop[u] = True
         for u in far:
@@ -223,7 +228,13 @@ def _smooth(
     kept = [eid for eid, e in enumerate(edges) if e]
     # the labels keep the vertex order, so each pair stays (min, max)
     pairs = tuple((label[edges[eid][0]], label[edges[eid][1]]) for eid in kept)
-    return len(survivors), pairs, [masks[eid] for eid in kept]
+    core = [-1] * len(edges)
+    for i, eid in enumerate(kept):
+        core[eid] = i
+    for eid in reversed(range(len(edges))):
+        if into[eid] >= 0:
+            core[eid] = core[into[eid]]
+    return len(survivors), pairs, core[: len(g.edges)]
 
 
 def connected_components(g: Multigraph) -> List[List[int]]:

@@ -141,8 +141,8 @@ def superstable_reduction(g: Multigraph) -> Multigraph:
     for block in components:
         if on_cycle.isdisjoint(block):
             raise VanishingComponentError(f"component {block} is a tree")
-    core = _smooth(g, [0] * g.edge_count)  # no caller reads the merged masks
-    return g if core is None else Multigraph(*core[:2])
+    n, pairs, _ = _smooth(g)
+    return g if n == g.vertex_count else Multigraph(n, pairs)  # each operation drops a vertex
 
 
 _LOOP = Multigraph(1, ((0, 0),))

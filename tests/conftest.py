@@ -24,7 +24,6 @@ from spincomb import (
     smooth_valency2,
     valency,
 )
-from spincomb.cycles import _series_classes
 from spincomb.errors import NotCyclicError, VanishingComponentError, WidthMismatchError
 from spincomb.graphs import _valencies
 
@@ -452,13 +451,12 @@ def counter_order_oracle(basis: Sequence[int]) -> List[int]:
 
 
 def chunk_table_bettis(g: Multigraph) -> List[int]:
-    """The b1 of every cyclic set in counter order, by the loop that the
-    coefficient walk replaced: over the same series classes, a fresh
-    union-find per set, fed six classes at a time from per-graph tables of
-    the endpoint pairs each bit pattern picks out; b1 is the count of
-    classes whose ends already share a root."""
-    basis = cycle_basis_oracle(g)[1]
-    pairs, _, n, packed = _series_classes(g, basis)
+    """The b1 of every cyclic set in counter order over the oracle basis,
+    by the loop that the coefficient walk replaced, over single edges: a
+    fresh union-find per set, fed six edges at a time from per-graph tables
+    of the endpoint pairs each bit pattern picks out; b1 is the count of
+    edges whose ends already share a root."""
+    pairs, n, basis = g.edges, g.vertex_count, cycle_basis_oracle(g)[1]
     tables = []
     for start in range(0, len(pairs), 6):
         table: List[Tuple[Edge, ...]] = [()]
@@ -466,7 +464,7 @@ def chunk_table_bettis(g: Multigraph) -> List[int]:
             table += [chosen + (pair,) for chosen in table]
         tables.append(table)
     out = []
-    for rest in counter_order_oracle(packed):
+    for rest in counter_order_oracle(basis):
         parent = list(range(n))
         n1 = 0
         for table in tables:

@@ -287,7 +287,7 @@ def _classes(g):
     support = 0
     for v in basis:
         support |= v
-    return basis, support, cycles._series_classes(g, basis)
+    return basis, support, cycles._class_basis(g, capped=True)
 
 
 class TestSeriesClasses:
@@ -298,59 +298,63 @@ class TestSeriesClasses:
 
     def test_classes_partition_the_support_and_keep_b1(self):
         for g in _series_corpus():
-            basis, support, (pairs, masks, n, packed) = _classes(g)
+            basis, support, (n, pairs, masks, packed) = _classes(g)
             covered = sum(masks)
             assert covered & support == support
-            # disjoint; a class lies on some cycle or is a bridge of its own
+            # disjoint; a class lies on some cycle or is made of bridges
             assert sum(bin(m).count("1") for m in masks) == bin(covered).count("1")
             assert all(m & support in (0, m) for m in masks)
-            assert all(m & (m - 1) == 0 for m in masks if not m & support)
             assert all(v & m in (0, m) for v in basis for m in masks)
-            assert packed == [sum(1 << i for i, m in enumerate(masks) if v & m) for v in basis]
+            # lifted through the class masks, the basis is cycle_basis(g)'s
+            assert [sum(m for i, m in enumerate(masks) if v >> i & 1) for v in packed] == basis
             assert all(0 <= a < n and 0 <= b < n for a, b in pairs)
-            # the smoothed support has the b1 of the support
+            # the core has the b1 of the support
             whole = EdgeSubset(support, g.edge_count)
-            on_cycles = [pair for pair, m in zip(pairs, masks) if m & support]
-            b1 = len(on_cycles) - n + count_components(n, on_cycles)
-            assert b1 == subset_betti(g, whole)
+            b1 = len(pairs) - n + count_components(n, pairs)
+            assert b1 == subset_betti(g, whole) == len(packed)
 
     def test_corpus_takes_the_series_path(self):
         graphs = _series_corpus()
         classes = [_classes(g) for g in graphs]
-        supports = [(support, masks) for _, support, (_, masks, _, _) in classes]
-        smoothed = [len(masks) < bin(support).count("1") for support, masks in supports]
+        supports = [(support, masks) for _, support, (_, _, masks, _) in classes]
+        smoothed = [
+            sum(1 for m in masks if m & support) < bin(support).count("1")
+            for support, masks in supports
+        ]
         assert sum(smoothed) > len(graphs) // 2
-        # unsmoothed, with a bridge carried as a class of its own
-        assert any(sum(masks) != support for support, masks in supports)
+        # bridges carried as a core edge of their own
+        assert any(m & support == 0 for support, masks in supports for m in masks)
         assert any(a == b for g in graphs for a, b in g.edges)  # loops
         assert any(len(set(g.edges)) < g.edge_count for g in graphs)  # parallels
         assert any(separating_edges(g) for g in graphs)  # bridges
         # a whole cycle of valency-2 vertices becomes a loop in a loopless graph
         assert any(
             any(a == b for a, b in pairs) and not any(a == b for a, b in g.edges)
-            for g, (_, _, (pairs, _, _, _)) in zip(graphs, classes)
+            for g, (_, _, (_, pairs, _, _)) in zip(graphs, classes)
         )
 
     def test_classes_are_maximal_chains(self):
         """On the smoothing path no class vertex is left whose pairs are
-        exactly two non-loop pairs, and each class is a path or a cycle of
-        g whose interior vertices have valency 2 among the support edges."""
+        exactly two non-loop pairs, or one pair, and each class is a path or
+        a cycle of g whose interior vertices have valency 2 among the edges
+        that the classes cover."""
         graphs = _series_corpus()
         smoothed = 0
         for g in graphs:
-            _, support, (pairs, masks, n, _) = _classes(g)
-            if len(masks) == g.edge_count:
-                continue  # no vertex in series: every edge is its own class
+            _, _, (n, pairs, masks, _) = _classes(g)
+            if n == g.vertex_count:
+                continue  # nothing smoothed: every edge is its own class
             smoothed += 1
             val, loop = [0] * n, [False] * n
             for a, b in pairs:
                 val[a] += 1
                 val[b] += 1
                 loop[a] |= a == b
-            assert not any(d == 2 and not loop[v] for v, d in enumerate(val))
+            assert not any(d == 1 or d == 2 and not loop[v] for v, d in enumerate(val))
+            covered = sum(masks)
             on_support = [0] * g.vertex_count
             for eid, (a, b) in enumerate(g.edges):
-                if support >> eid & 1:
+                if covered >> eid & 1:
                     on_support[a] += 1
                     on_support[b] += 1
             for (a, b), m in zip(pairs, masks):
@@ -364,17 +368,20 @@ class TestSeriesClasses:
         assert smoothed > len(graphs) // 2
 
     def test_union_find_holds_only_cycle_vertices(self):
-        """Pendant trees on a cubic graph: nothing smooths, yet the classes
-        are labelled over the vertices on some cycle only, and the profile
-        stays the oracle's."""
+        """Pendant trees on a cubic graph: the trees are dropped and nothing
+        else smooths, so the classes are labelled over the vertices on some
+        cycle only, one class per cycle edge, and the profile stays the
+        oracle's."""
         rng = random.Random(67)
         pendant = 0
         for _ in range(20):
-            g = with_pendant_trees(random_cubic_graph(rng, rng.randint(3, 7)), rng)
-            basis, support, (pairs, masks, n, _) = _classes(g)
+            cubic = random_cubic_graph(rng, rng.randint(3, 7))
+            g = with_pendant_trees(cubic, rng)
+            basis, support, (n, pairs, masks, _) = _classes(g)
             on_cycles = {v for eid, e in enumerate(g.edges) if support >> eid & 1 for v in e}
-            assert n == len(on_cycles)
+            assert n == len(on_cycles) == cubic.vertex_count
             assert len(masks) == bin(support).count("1")  # one class per cycle edge
+            assert all(m & (m - 1) == 0 for m in masks)
             assert {m: (c, w.bits) for m, (c, w) in betti_profile(g).items()} == _oracle_profile(g)
             pendant += len(on_cycles) < g.vertex_count
         assert pendant > 10
@@ -382,7 +389,7 @@ class TestSeriesClasses:
     def test_chain_becomes_one_pair(self):
         # K4 with edge 0-1 subdivided twice: 8 cycle edges, 6 classes on 4 vertices
         g = build_graph(6, [(0, 4), (4, 5), (1, 5), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        pairs, masks, n, _ = _classes(g)[2]
+        n, pairs, masks, _ = _classes(g)[2]
         assert n == 4 and len(pairs) == 6
         assert 0b111 in masks
 
@@ -459,8 +466,7 @@ class TestCoefficientWalk:
 
     def test_level_zero_holds_most_classes(self):
         g = _chorded_cycle()
-        basis = [v.bits for v in cycle_basis(g).basis_vectors]
-        pairs, _, _, packed = cycles._series_classes(g, basis)
+        _, pairs, _, packed = cycles._class_basis(g, capped=True)
         levels = cycles._levels(pairs, packed)
         assert len(levels[0]) > len(pairs) // 2
         assert _walk_stream(g) == chunk_table_bettis(g)

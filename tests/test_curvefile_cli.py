@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincomb
+import spincomb.cli as cli
+import spincomb.graphs as graphs
 from spincomb import (
     CurveDualGraph,
     build_graph,
@@ -307,6 +309,23 @@ class TestCli:
         assert "components:           21" in out
         assert "length:               64 (2^6)" in out
         assert "multiplicity 2^3: 1 component(s)" in out
+
+    @pytest.mark.parametrize("command, traversals", [("analyze", 2), ("spin", 3)])
+    def test_lowpoint_dfs_runs(self, command, traversals, split_path, monkeypatch, capsys):
+        """One traversal checks that the curve is connected; analyze reads
+        everything else from one more, and spin makes one for the genus it
+        refuses on and one inside spin_report."""
+        calls = []
+        dfs = graphs._lowpoint_dfs
+
+        def counted(g):
+            calls.append(g)
+            return dfs(g)
+
+        monkeypatch.setattr(graphs, "_lowpoint_dfs", counted)
+        monkeypatch.setattr(cli, "_lowpoint_dfs", counted)
+        assert main([command, split_path]) == 0
+        assert len(calls) == traversals
 
     def test_spin_json_matches_text_numbers(self, split_path, capsys):
         assert main(["--json", "spin", split_path]) == 0

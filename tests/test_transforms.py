@@ -298,17 +298,23 @@ class TestSuperstableReduction:
         assert out == Multigraph(1, ((0, 0),))
 
     def test_kernel_masks_trace_each_core_edge(self):
-        """With masks 1 << eid, each core edge's mask is the path of g it
-        replaced, between the preimages of its ends (a cycle for a loop);
-        the masks are disjoint, and every edge outside them is a bridge."""
+        """The edges of g that the kernel maps to one core edge form the
+        path of g it replaced, between the preimages of its ends (a cycle
+        for a loop); the preimages are disjoint, and every edge the kernel
+        drops is a bridge."""
         smoothed = 0
         for g in _reduction_corpus():
-            core = _smooth(g, [1 << eid for eid in range(g.edge_count)])
-            if core is None:
+            n, pairs, core = _smooth(g)
+            assert len(core) == g.edge_count and all(-1 <= c < len(pairs) for c in core)
+            if n == g.vertex_count:
                 assert is_superstable(g)
+                assert (pairs, core) == (g.edges, list(range(g.edge_count)))
                 continue
             smoothed += 1
-            n, pairs, masks = core
+            masks = [0] * len(pairs)
+            for eid, c in enumerate(core):
+                if c >= 0:
+                    masks[c] |= 1 << eid
             assert Multigraph(n, pairs) == superstable_reduction(g)
             covered = 0
             for m in masks:

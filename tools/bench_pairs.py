@@ -17,7 +17,9 @@ quartiles, the pairs the change wins, by how much its median is worse, and
 whether the gap exceeds the parent's quartile distance), failed runs per
 side, ``pass_floor`` (each untraced run's unscaled pass times and reference
 scales, as ``perfbench/run.py`` prints them), ``per_layer`` from the traced
-runs, and every run's last output line under ``runs``.
+runs, every run's last output line under ``runs``, and under ``tier1`` the
+wall time (``tier1_s``), exit status and last line of one run of the tier-1
+test command per side, each in its own fresh checkout, after the workloads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -87,6 +90,29 @@ def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, wor
     header = "unscaled wall times"
     start = next((i for i, line in enumerate(lines) if line.startswith(header)), len(lines))
     return {"result": result, "unscaled": parse_rows(lines[start + 1:-1])}
+
+
+def tier1(rev: str, work: Path) -> dict:
+    """The tier-1 tests of ``rev`` run once in a fresh checkout, with ``src``
+    first on the path: the command, its wall time, exit status and last line."""
+    root = work / f"{rev[:12]}-tier1"
+    checkout(rev, root)
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    out = {"command": " ".join(["PYTHONPATH=src", "python", *argv[1:]])}
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return {**out, "error": f"no result within {RUN_TIMEOUT} s"}
+    finally:
+        elapsed = time.perf_counter() - start
+        shutil.rmtree(root, ignore_errors=True)
+    lines = proc.stdout.strip().splitlines()
+    return {**out, "tier1_s": round(elapsed, 2), "exit": proc.returncode,
+            "last_line": lines[-1] if lines else ""}
 
 
 def paired(revs: Dict[str, str], workload: str, seeds: List[int], seconds: float, trace: int,
@@ -220,6 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for workload in args.workloads:
             runs += paired(revs, workload, seeds, args.seconds, 0, Path(tmp))
             traced += paired(revs, workload, args.trace_seeds, args.seconds, 1, Path(tmp))
+        tests = {side: tier1(rev, Path(tmp)) for side, rev in revs.items()}
     report = {
         "command": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {args.seconds:g} --trace 0",
@@ -238,6 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      for r in runs + traced if "error" in r],
         "notes": args.note,
         "runs": runs,
+        "tier1": tests,
     }
     if traced:
         report["per_layer"] = {
