@@ -77,8 +77,7 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
     vector's highest edge is its non-forest edge.
     """
     width = g.edge_count
-    _, _, masks, packed = _class_basis(g, capped=False)
-    vectors = _lift(masks, packed)
+    vectors = _class_basis(g, capped=False)[3]
     closing = EdgeSubset.from_indices(width, (v.bit_length() - 1 for v in vectors))
     forest = EdgeSubset.full(width) ^ closing
     return CycleBasis(width, tuple(EdgeSubset(v, width) for v in vectors), forest)
@@ -87,19 +86,19 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
 def _class_basis(
     g: Multigraph, capped: bool
 ) -> Tuple[int, Tuple[Edge, ...], List[int], List[int]]:
-    """The cycle basis of g over its core (:func:`graphs._smooth`): the
-    core's vertex count and edges, each core edge's series class as a mask
-    of the edges of g it replaced, and the basis with bit i for core edge i.
-    With ``capped``, a b1 above :data:`ENUMERATION_CAP` is refused before
-    any mask or vector exists: the one place the cap is read.
+    """The cycle basis of g over its core (:func:`graphs._smooth`): the core's
+    vertex count and edges, the basis with bit i for core edge i, and that
+    basis lifted to g through each core edge's series class (the edges it
+    replaced).  With ``capped``, a b1 above :data:`ENUMERATION_CAP` is
+    refused before any vector exists: the one place the cap is read.
 
-    A class passes only vertices without other edges, so every cyclic set
-    is a union of whole classes.  In g's lowest-index spanning forest every
-    edge of a class but its highest is a forest edge, and the highest is
-    one iff the class's ends are not yet joined when it comes.  So the
-    union-find pass over the core edges in order of their highest edge
-    gives g's fundamental cycles in order (up[x]: the forest classes from x
-    to parent[x], and to the root once find(x) has run).
+    A class passes only vertices without other edges, so every cyclic set is
+    a union of whole classes.  In g's lowest-index spanning forest every edge
+    of a class but its highest is a forest edge, and the highest is one iff
+    the class's ends are not yet joined when it comes.  So the union-find
+    pass over the core edges in order of their highest edge gives g's
+    fundamental cycles in order (up[x]: the forest classes from x to
+    parent[x], and to the root once find(x) has run).
     """
     n, pairs, core = _smooth(g)
     parent, up = list(range(n)), [0] * n
@@ -114,7 +113,7 @@ def _class_basis(
             parent[v] = x
         return x
 
-    if capped:  # count the closing edges, in any order
+    if capped and len(pairs) > ENUMERATION_CAP:  # b1 is at most the edge count
         b1 = 0
         for a, b in pairs:
             ra, rb = find(a), find(b)
@@ -137,14 +136,10 @@ def _class_basis(
             up[ra] = cycle
         else:
             packed.append(cycle)
-    masks = [EdgeSubset.from_indices(g.edge_count, ids).bits for ids in members]
-    return n, pairs, masks, packed
-
-
-def _lift(masks: List[int], packed: List[int]) -> List[int]:
-    """Vectors over the classes as edge masks of g: the classes are
-    disjoint, so each is the sum of its classes' masks."""
-    return [sum(masks[c] for c in EdgeSubset(v, len(masks)).indices()) for v in packed]
+    masks = [EdgeSubset.from_indices(g.edge_count, ids).bits if ids[1:] else 1 << ids[0]
+             for ids in members]  # most classes of a superstable graph are one edge
+    lifted = [sum(masks[c] for c in EdgeSubset(v, len(pairs)).indices()) for v in packed]
+    return n, pairs, packed, lifted
 
 
 def _counter_order(basis: List[int]) -> Iterator[int]:
@@ -164,8 +159,8 @@ def cyclic_sets(g: Multigraph) -> Iterator[EdgeSubset]:
     coefficient-counter order.  A cycle space past
     :data:`ENUMERATION_CAP` is refused on the call."""
     width = g.edge_count
-    _, _, masks, packed = _class_basis(g, capped=True)
-    return (EdgeSubset(bits, width) for bits in _counter_order(_lift(masks, packed)))
+    basis = _class_basis(g, capped=True)[3]
+    return (EdgeSubset(bits, width) for bits in _counter_order(basis))
 
 
 def _levels(pairs: Tuple[Edge, ...], packed: List[int]) -> List[List[Tuple[int, int, int]]]:
@@ -177,7 +172,13 @@ def _levels(pairs: Tuple[Edge, ...], packed: List[int]) -> List[List[Tuple[int, 
     for v in packed:
         new = v & ~seen
         seen |= v
-        levels.append([(1 << c, *pairs[c]) for c in EdgeSubset(new, len(pairs)).indices()])
+        level = []
+        while new:
+            low = new & -new
+            new ^= low
+            a, b = pairs[low.bit_length() - 1]
+            level.append((low, a, b))
+        levels.append(level)
     return levels
 
 
@@ -298,8 +299,7 @@ def _betti_pass(g: Multigraph) -> Tuple[List[int], Iterator[int]]:
     in counter order, each subtree from a fresh forest (:func:`_subtree`),
     and the values stream one subtree's list at a time.
     """
-    n, pairs, masks, packed = _class_basis(g, capped=True)
-    basis = _lift(masks, packed)
+    n, pairs, packed, basis = _class_basis(g, capped=True)
     if not packed:
         return basis, iter((0,))
     levels = _levels(pairs, packed)

@@ -53,6 +53,7 @@ from spincomb import (
     support_description,
 )
 from spincomb.errors import CapExceededError, PreconditionFailedError, VanishingComponentError
+from spincomb.graphs import _smooth
 
 K4_DOUBLED = build_graph(4, [(0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 K33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
@@ -283,11 +284,19 @@ def _series_corpus():
 
 
 def _classes(g):
+    """The basis and its support, and the core's vertex count and edges,
+    the edge mask of each core edge's class (from the kernel's map) and the
+    basis in class bits."""
     basis = [v.bits for v in cycle_basis(g).basis_vectors]
     support = 0
     for v in basis:
         support |= v
-    return basis, support, cycles._class_basis(g, capped=True)
+    n, pairs, packed, _ = cycles._class_basis(g, capped=True)
+    masks = [0] * len(pairs)
+    for eid, c in enumerate(_smooth(g)[2]):
+        if c >= 0:
+            masks[c] |= 1 << eid
+    return basis, support, (n, pairs, masks, packed)
 
 
 class TestSeriesClasses:
@@ -307,6 +316,7 @@ class TestSeriesClasses:
             assert all(v & m in (0, m) for v in basis for m in masks)
             # lifted through the class masks, the basis is cycle_basis(g)'s
             assert [sum(m for i, m in enumerate(masks) if v >> i & 1) for v in packed] == basis
+            assert cycles._class_basis(g, capped=True)[3] == basis
             assert all(0 <= a < n and 0 <= b < n for a, b in pairs)
             # the core has the b1 of the support
             whole = EdgeSubset(support, g.edge_count)
@@ -466,7 +476,7 @@ class TestCoefficientWalk:
 
     def test_level_zero_holds_most_classes(self):
         g = _chorded_cycle()
-        _, pairs, _, packed = cycles._class_basis(g, capped=True)
+        _, pairs, packed, _ = cycles._class_basis(g, capped=True)
         levels = cycles._levels(pairs, packed)
         assert len(levels[0]) > len(pairs) // 2
         assert _walk_stream(g) == chunk_table_bettis(g)
