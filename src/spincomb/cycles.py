@@ -24,6 +24,7 @@ from .graphs import (
     EdgeSubset,
     Multigraph,
     ZeroChain,
+    _set_bits,
     _smooth,
 )
 
@@ -83,9 +84,7 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
     return CycleBasis(width, tuple(EdgeSubset(v, width) for v in vectors), forest)
 
 
-def _class_basis(
-    g: Multigraph, capped: bool
-) -> Tuple[int, Tuple[Edge, ...], List[int], List[int]]:
+def _class_basis(g: Multigraph, capped: bool) -> Tuple[int, Tuple[Edge, ...], List[int], List[int]]:
     """The cycle basis of g over its core (:func:`graphs._smooth`): the core's
     vertex count and edges, the basis with bit i for core edge i, and that
     basis lifted to g through each core edge's series class (the edges it
@@ -114,11 +113,9 @@ def _class_basis(
         return x
 
     if capped and len(pairs) > ENUMERATION_CAP:  # b1 is at most the edge count
-        b1 = 0
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            b1 += ra == rb
-            parent[ra] = rb
+            parent[find(a)] = find(b)
+        b1 = len(pairs) - n + sum(p == v for v, p in enumerate(parent))  # edges - nu + c
         if b1 > ENUMERATION_CAP:
             raise CapExceededError(b1, ENUMERATION_CAP)
         parent = list(range(n))
@@ -138,7 +135,7 @@ def _class_basis(
             packed.append(cycle)
     masks = [EdgeSubset.from_indices(g.edge_count, ids).bits if ids[1:] else 1 << ids[0]
              for ids in members]  # most classes of a superstable graph are one edge
-    lifted = [sum(masks[c] for c in EdgeSubset(v, len(pairs)).indices()) for v in packed]
+    lifted = [sum(map(masks.__getitem__, _set_bits(v, len(pairs)))) for v in packed]
     return n, pairs, packed, lifted
 
 

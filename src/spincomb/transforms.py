@@ -11,12 +11,11 @@ both theorems, and their superstable precondition, live in
 :func:`eliminate_valency1`, :func:`smooth_valency2` and
 :func:`contract_separating_edge` are the single-step operations; each
 builds a new graph.  :func:`superstable_reduction` applies the first two
-at the lowest applicable vertex in one heap pass, ``graphs._smooth``.  The
+at the lowest applicable vertex in one heap pass, ``graphs._smooth``, on
+whose core :mod:`spincomb.cycles` builds the cycle basis too.  The
 tests check it against loops of single steps in ``tests/conftest.py``: at
 the lowest vertex (``lowest_first_reduction``: the same labels and edge
 order) and at random ones (``random_order_reduction``: up to isomorphism).
-The cycle basis of :mod:`spincomb.cycles` is built on the same core, one
-series class of input edges per core edge.
 """
 
 from __future__ import annotations
