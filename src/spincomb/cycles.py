@@ -24,7 +24,6 @@ from .graphs import (
     EdgeSubset,
     Multigraph,
     ZeroChain,
-    _set_bits,
     _smooth,
 )
 
@@ -87,28 +86,32 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
 def _class_basis(g: Multigraph, capped: bool) -> Tuple[int, Tuple[Edge, ...], List[int], List[int]]:
     """The cycle basis of g over its core (:func:`graphs._smooth`): the core's
     vertex count and edges, the basis with bit i for core edge i, and that
-    basis lifted to g through each core edge's series class (the edges it
-    replaced).  With ``capped``, a b1 above :data:`ENUMERATION_CAP` is
-    refused before any vector exists: the one place the cap is read.
+    basis lifted to g through each core edge's series class (the mask of the
+    edges it replaced).  With ``capped``, a b1 above :data:`ENUMERATION_CAP`
+    is refused before any mask or vector exists: the one place the cap is
+    read.
 
     A class passes only vertices without other edges, so every cyclic set is
     a union of whole classes.  In g's lowest-index spanning forest every edge
     of a class but its highest is a forest edge, and the highest is one iff
     the class's ends are not yet joined when it comes.  So the union-find
     pass over the core edges in order of their highest edge gives g's
-    fundamental cycles in order (up[x]: the forest classes from x to
-    parent[x], and to the root once find(x) has run).
+    fundamental cycles in order: up[x] holds the forest classes from x to
+    parent[x], and to the root once find(x) has run, and lift[x] their
+    edges.  A core has at most 2 b1 vertices, so neither is bigger than the
+    basis.
     """
     n, pairs, core = _smooth(g)
-    parent, up = list(range(n)), [0] * n
+    parent, up, lift = list(range(n)), [0] * n, [0] * n
 
     def find(x: int) -> int:
         path = []
         while parent[x] != x:
             path.append(x)
             x = parent[x]
-        for v in reversed(path):  # a root's up is 0
+        for v in reversed(path):  # a root's up and lift are 0
             up[v] ^= up[parent[v]]
+            lift[v] ^= lift[parent[v]]
             parent[v] = x
         return x
 
@@ -123,20 +126,20 @@ def _class_basis(g: Multigraph, capped: bool) -> Tuple[int, Tuple[Edge, ...], Li
     for eid, c in enumerate(core):
         if c >= 0:
             members[c].append(eid)
-    packed = []
+    packed, basis = [], []
     for c in sorted(range(len(pairs)), key=lambda c: members[c][-1]):
-        a, b = pairs[c]
+        ids, (a, b) = members[c], pairs[c]
+        # the class's edge mask; most classes of a superstable graph are one edge
+        mask = EdgeSubset.from_indices(g.edge_count, ids).bits if ids[1:] else 1 << ids[0]
         ra, rb = find(a), find(b)
-        cycle = up[a] ^ up[b] ^ 1 << c
+        cycle, edges = up[a] ^ up[b] ^ 1 << c, lift[a] ^ lift[b] ^ mask
         if ra != rb:
             parent[ra] = rb
-            up[ra] = cycle
+            up[ra], lift[ra] = cycle, edges
         else:
             packed.append(cycle)
-    masks = [EdgeSubset.from_indices(g.edge_count, ids).bits if ids[1:] else 1 << ids[0]
-             for ids in members]  # most classes of a superstable graph are one edge
-    lifted = [sum(map(masks.__getitem__, _set_bits(v, len(pairs)))) for v in packed]
-    return n, pairs, packed, lifted
+            basis.append(edges)
+    return n, pairs, packed, basis
 
 
 def _counter_order(basis: List[int]) -> Iterator[int]:

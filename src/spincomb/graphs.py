@@ -90,20 +90,16 @@ class EdgeSubset:
         return self.bits != 0
 
     def indices(self) -> Iterator[int]:
-        """The set bits in increasing order (see :func:`_set_bits`)."""
-        return _set_bits(self.bits, self.width)
+        """The set bits in increasing order, read byte by byte (the mirror
+        of :meth:`from_indices`), so the whole list is O(width)."""
+        data = self.bits.to_bytes(self.width // 8 + 1, "little")
+        for k in compress(range(len(data)), data):  # the nonzero bytes
+            base = 8 * k
+            for i in _BYTE_BITS[data[k]]:
+                yield base + i
 
     def intersects(self, other: "EdgeSubset") -> bool:
         return bool(self.bits & other.bits)
-
-
-def _set_bits(bits: int, width: int) -> Iterator[int]:
-    """The set bits of a ``width``-bit mask, lowest first, read byte by byte: O(width)."""
-    data = bits.to_bytes(width // 8 + 1, "little")
-    for k in compress(range(len(data)), data):  # the nonzero bytes
-        base = 8 * k
-        for i in _BYTE_BITS[data[k]]:
-            yield base + i
 
 
 @dataclass(frozen=True)
