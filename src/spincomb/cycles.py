@@ -98,8 +98,8 @@ def _class_basis(g: Multigraph, capped: bool) -> Tuple[int, Tuple[Edge, ...], Li
     pass over the core edges in order of their highest edge gives g's
     fundamental cycles in order: up[x] holds the forest classes from x to
     parent[x], and to the root once find(x) has run, and lift[x] their
-    edges.  A core has at most 2 b1 vertices, so neither is bigger than the
-    basis.
+    edges.  A core has at most 2 b1 vertices, so neither array is more than
+    twice the basis.
     """
     n, pairs, core = _smooth(g)
     parent, up, lift = list(range(n)), [0] * n, [0] * n

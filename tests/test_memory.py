@@ -34,7 +34,7 @@ FILE_RINGS = (1500, 6000)
 
 #: A 4x longer ring may take this many times the memory: 4 when linear,
 #: plus slack for list over-allocation and those cached ints.
-GROWTH = 5.5
+GROWTH = 5.8
 
 
 def traced_peak(call) -> int:
