@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from itertools import chain
+from typing import Iterator, List, Optional
 
 from . import __version__
 from .curvefile import CurveFile, parse_curve
 from .cycles import cyclic_betti_set, is_eulerian
 from .enumeration import SweepReport, sweep_theorems
 from .errors import CapExceededError, CurveFileError, GraphError, VanishingComponentError
-from .graphs import Multigraph, _lowpoint_dfs
+from .graphs import Multigraph, _lowpoint_dfs, betti_number
 from .spin import check_corollary_split, curve_genus, even_set_supports, spin_report
 from .transforms import Verdict, check_theorems, classify, is_superstable, superstable_reduction
 
@@ -179,32 +180,34 @@ def _render_classify(data: dict) -> List[str]:
 
 
 def cmd_evensets(cf: CurveFile) -> dict:
+    """The count and a lazy listing of the even sets: every refusal (the cap,
+    on the call to :func:`even_set_supports`, and the digit limit on the
+    largest point count 2^(2p + b1)) comes before the first set is read."""
     x = cf.to_dual_graph()
-    # every point count is 2^(2p + b1(D)), the empty set's 2^(2p)
-    _refuse_unprintable(2 * sum(x.genus_marks), "the point count")
-    sets = []
-    for d in even_set_supports(x):
-        sets.append(
-            {
-                "edges": sorted(cf.edge_names[i] for i in d.even_set.indices()),
-                "betti": d.gluing_dimension,
-                "blown_up_count": d.exceptional_count,
-                "point_count": d.point_count,
-                "multiplicity_exponent": d.multiplicity_exponent,
-            }
-        )
-    return {"count": len(sets), "even_sets": sets}
+    b = betti_number(x.graph)
+    _refuse_unprintable(2 * sum(x.genus_marks) + b, "the point count")
+    names = cf.edge_names
+    sets = (
+        {
+            "edges": sorted(names[i] for i in d.even_set.indices()),
+            "betti": d.gluing_dimension,
+            "blown_up_count": d.exceptional_count,
+            "point_count": d.point_count,
+            "multiplicity_exponent": d.multiplicity_exponent,
+        }
+        for d in even_set_supports(x)
+    )
+    return {"count": 1 << b, "even_sets": sets}
 
 
-def _render_evensets(data: dict) -> List[str]:
-    lines = [f"{data['count']} even set(s)"]
+def _render_evensets(data: dict) -> Iterator[str]:
+    yield f"{data['count']} even set(s)"
     for s in data["even_sets"]:
         edges = "{" + ", ".join(s["edges"]) + "}"
-        lines.append(
+        yield (
             f"  {edges or '{}'}: b1={s['betti']}, points={_pow2(s['point_count'])}, "
             f"multiplicity=2^{s['multiplicity_exponent']}"
         )
-    return lines
 
 
 def _sweep_dict(report: SweepReport) -> dict:
@@ -262,12 +265,38 @@ def _render_verify(data: dict) -> List[str]:
     return lines
 
 
-# name -> (help, command, renderer) of every command that reads a curve file
+def _json_chunks(data: dict) -> Iterator[str]:
+    """The text of ``json.dumps(data, indent=2, sort_keys=True)``, in pieces.
+
+    A value that is an iterator is written one element at a time, each by
+    the same encoder and re-indented to its depth, so the list is never
+    held whole; every other value goes through ``json.dumps`` as it is.
+    """
+    if not any(isinstance(v, Iterator) for v in data.values()):
+        yield json.dumps(data, indent=2, sort_keys=True)
+        return
+    encode = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
+    for i, key in enumerate(sorted(data)):
+        yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
+        value = data[key]
+        if not isinstance(value, Iterator):
+            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+            continue
+        sep = "[\n    "
+        for item in value:
+            yield sep + encode(item).replace("\n", "\n    ")
+            sep = ",\n    "
+        yield "[]" if sep == "[\n    " else "\n  ]"
+    yield "\n}"
+
+
+# name -> (help, renderer) of every command that reads a curve file; main
+# calls cmd_<name> through the module, so a wrapper set there sees the call
 _FILE_COMMANDS = {
-    "analyze": ("graph invariants of the dual graph", cmd_analyze, _render_analyze),
-    "spin": ("numerics of the scheme of spin curves", cmd_spin, _render_spin),
-    "classify": ("recognizers and theorem verdicts", cmd_classify, _render_classify),
-    "evensets": ("stream all even sets with their spin data", cmd_evensets, _render_evensets),
+    "analyze": ("graph invariants of the dual graph", _render_analyze),
+    "spin": ("numerics of the scheme of spin curves", _render_spin),
+    "classify": ("recognizers and theorem verdicts", _render_classify),
+    "evensets": ("stream all even sets with their spin data", _render_evensets),
 }
 
 
@@ -280,7 +309,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, _) in _FILE_COMMANDS.items():
+    for name, (text, _) in _FILE_COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("path", help="curve file")
     p = sub.add_parser("verify", help="run both theorem sweeps")
@@ -294,11 +323,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             failed = data["theorem2"]["violations"] or data["theorem3"]["violations"]
         else:
             cf = _load(args.path)
-            _, command, render = _FILE_COMMANDS[args.command]
-            data = command(cf)
+            data = globals()[f"cmd_{args.command}"](cf)
+            render = _FILE_COMMANDS[args.command][1]
             failed = False
-        # rendering fails too once a count passes the int-to-str digit limit
-        print(json.dumps(data, indent=2, sort_keys=True) if args.json else "\n".join(render(data)))
+        # the commands refuse before this point: a listing streams from here
+        write = sys.stdout.write
+        if args.json:
+            for chunk in chain(_json_chunks(data), "\n"):
+                write(chunk)
+        else:
+            for line in render(data):
+                write(line + "\n")
     except CapExceededError as exc:
         print(f"error: cycle space too large to enumerate (b1={exc.betti})", file=sys.stderr)
         return 1

@@ -89,7 +89,8 @@ def _class_basis(g: Multigraph, capped: bool) -> Tuple[int, Tuple[Edge, ...], Li
     basis lifted to g through each core edge's series class (the mask of the
     edges it replaced).  With ``capped``, a b1 above :data:`ENUMERATION_CAP`
     is refused before any mask or vector exists: the one place the cap is
-    read.
+    read.  Only the walk reads the class bits, and it calls capped, so an
+    uncapped call leaves them out and returns no packed basis.
 
     A class passes only vertices without other edges, so every cyclic set is
     a union of whole classes.  In g's lowest-index spanning forest every edge
@@ -132,13 +133,15 @@ def _class_basis(g: Multigraph, capped: bool) -> Tuple[int, Tuple[Edge, ...], Li
         # the class's edge mask; most classes of a superstable graph are one edge
         mask = EdgeSubset.from_indices(g.edge_count, ids).bits if ids[1:] else 1 << ids[0]
         ra, rb = find(a), find(b)
-        cycle, edges = up[a] ^ up[b] ^ 1 << c, lift[a] ^ lift[b] ^ mask
+        # uncapped, every up[x] stays 0
+        cycle, edges = up[a] ^ up[b] ^ (1 << c if capped else 0), lift[a] ^ lift[b] ^ mask
         if ra != rb:
             parent[ra] = rb
             up[ra], lift[ra] = cycle, edges
         else:
-            packed.append(cycle)
             basis.append(edges)
+            if capped:
+                packed.append(cycle)
     return n, pairs, packed, basis
 
 

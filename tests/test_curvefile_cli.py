@@ -504,6 +504,46 @@ class TestCli:
         finally:
             sys.set_int_max_str_digits(saved)
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_evensets_point_count_past_the_digit_limit(self, flags, tmp_path, capsys):
+        # one loop, b1 = 1: the largest point count is 2^(2p + 1), and at the
+        # default 4,300 digits 2^14283 prints and 2^14285 does not
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for p, status in ((7141, 0), (7142, 1)):
+                path = tmp_path / f"loop{p}.curve"
+                path.write_text(f"v a genus={p}\ne n a a\n")
+                assert main(flags + ["evensets", str(path)]) == status
+                captured = capsys.readouterr()
+                if status == 0:
+                    assert str(1 << 14283) in captured.out
+                else:
+                    assert captured.out == ""
+                    assert captured.err == (
+                        "error: the point count 2^14285 has more than 4300 digits, "
+                        "too many to print\n"
+                    )
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("command", ["analyze", "spin", "classify", "evensets", "verify"])
+    def test_main_calls_the_command_through_the_module(
+        self, command, split_path, monkeypatch, capsys
+    ):
+        """A wrapper set on spincomb.cli.cmd_<name>, as a tracer sets one,
+        sees the call; a table of the functions bound at import would not."""
+        calls = []
+        original = getattr(cli, f"cmd_{command}")
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, f"cmd_{command}", counted)
+        assert main([command, "3" if command == "verify" else split_path]) == 0
+        assert len(calls) == 1
+
     def test_cap_exceeded_message(self, tmp_path, capsys):
         lines = ["v a genus=0", "v b genus=0"]
         lines += [f"e n{i} a b" for i in range(33)]

@@ -1,6 +1,7 @@
 """Memory linear in the curve: the cycle basis and the cycle-space pass on
-long rings, the file commands on a written ring, and a refusal past the
-enumeration cap that builds no basis vector.
+long rings, the file commands on a written ring, a refusal past the
+enumeration cap that builds no basis vector, an uncapped basis that builds
+nothing the walk alone reads, and an even-set listing that streams.
 
 Peaks are Python allocations traced by tracemalloc.  A ring of m edges has
 b1 = 1, so nothing in the answer grows faster than m; one m-bit int per
@@ -9,6 +10,9 @@ against 4x when linear).  Tracing slows allocation about tenfold, so the
 rings stay small.
 """
 
+import contextlib
+import io
+import sys
 import tracemalloc
 
 import pytest
@@ -31,6 +35,9 @@ from conftest import cycle_graph
 #: since the interpreter caches the ints up to 256 that label the first ones.
 RINGS = (1000, 4000)
 FILE_RINGS = (1500, 6000)
+
+#: The b1 of the split curves listed by evensets: 256 and 2,048 even sets.
+LISTING_B1 = (8, 11)
 
 #: A 4x longer ring may take this many times the memory: 4 when linear,
 #: plus slack for list over-allocation and those cached ints.
@@ -87,3 +94,48 @@ def test_refusal_builds_no_vector():
     finally:
         tracemalloc.stop()
     assert peak < 400 * g.edge_count
+
+
+def test_uncapped_basis_builds_no_class_bits():
+    """Only the coefficient walk reads the basis in class bits, and it asks
+    for a capped basis; cycle_basis builds neither the class-bit forest
+    paths nor those vectors, so it peaks within a small multiple of the
+    vectors it returns.  Building them read 4.8x on this grid."""
+    g = grid(60)  # 7,080 edges, b1 = 3,481
+    tracemalloc.start()
+    try:
+        basis = cycle_basis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vectors = sum(sys.getsizeof(v.bits) for v in basis.basis_vectors)
+    assert peak < 3.5 * vectors, (peak, vectors)
+
+
+class ByteCount(io.TextIOBase):
+    """A stdout that keeps nothing of what is written but its length."""
+
+    def __init__(self):
+        self.count = 0
+
+    def write(self, text: str) -> int:
+        self.count += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_evensets_listing_streams(flags, tmp_path):
+    """Each even set is written as it is read, so 8x as many sets may not
+    take 2x the memory; a listing built whole first grows 8x."""
+    peaks, codes, sizes = [], [], []
+    for b1 in LISTING_B1:
+        path = tmp_path / f"split{b1}.curve"
+        path.write_text(format_curve_file(CurveDualGraph(build_graph(2, [(0, 1)] * (b1 + 1)), (0, 0))))
+        out = ByteCount()
+        with contextlib.redirect_stdout(out):
+            peaks.append(traced_peak(lambda: codes.append(main(flags + ["evensets", str(path)]))))
+        sizes.append(out.count)
+    assert codes == [0, 0]
+    assert sizes[1] > 8 * sizes[0]
+    small, large = peaks
+    assert large < 2 * small, (small, large)

@@ -16,7 +16,9 @@ The output keeps the layout of the earlier ``BENCH_*.json`` files:
 quartiles, the pairs the change wins, by how much its median is worse, and
 whether the gap exceeds the parent's quartile distance), failed runs per
 side, ``pass_floor`` (each untraced run's unscaled pass times and reference
-scales, as ``perfbench/run.py`` prints them), ``per_layer`` from the traced
+scales, as ``perfbench/run.py`` prints them, and per workload and side the
+reference scale above which the median pass would end before the first
+reference tick, beside the highest scale seen), ``per_layer`` from the traced
 runs, every run's last output line under ``runs``, and under ``tier1`` the
 wall time (``tier1_s``), exit status and last line of one run of the tier-1
 test command per side, each in its own fresh checkout, after the workloads.
@@ -37,6 +39,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 RUN_TIMEOUT = 300  # seconds; perfbench ends a run by itself within 180
+REF_TICK = 0.5  # seconds to the first reference unit of an untraced pass (REF_INTERVAL)
 
 
 def git(*args: str) -> str:
@@ -183,7 +186,11 @@ def pass_floor(runs: List[dict]) -> dict:
     floor = {
         "what": "unscaled pass time (run_s) and reference scale per untraced run, median and "
                 "quartiles over its passes as perfbench/run.py prints them; a pass shorter "
-                "than the 0.5 s reference tick samples no reference unit and the run fails",
+                "than the 0.5 s reference tick samples no reference unit and the run fails. "
+                "Per workload and side, floor_scale is the reference scale above which the "
+                "median pass would end before that tick (the median of the runs' scaled "
+                "run_s over 0.5 s), beside highest_scale_seen, the largest third quartile "
+                "of any run's reference scale",
         "runs": [],
     }
     for r in runs:
@@ -197,11 +204,16 @@ def pass_floor(runs: List[dict]) -> dict:
             rows = [x for x in floor["runs"]
                     if x["workload"] == workload and x["side"] == side and x["unscaled_run_s"]]
             if rows:
+                scaled = [r["result"]["metrics"]["run_s"]["value"] for r in runs
+                          if r["workload"] == workload and r["side"] == side and "result" in r]
+                highest = max(x["reference_scale"]["q3"] for x in rows)
                 floor[f"{workload}_{side}"] = {
                     "unscaled_run_s_range": [min(x["unscaled_run_s"]["q1"] for x in rows),
                                              max(x["unscaled_run_s"]["q3"] for x in rows)],
                     "reference_scale_range": [min(x["reference_scale"]["q1"] for x in rows),
-                                              max(x["reference_scale"]["q3"] for x in rows)],
+                                              highest],
+                    "floor_scale": round(statistics.median(scaled) / REF_TICK, 4),
+                    "highest_scale_seen": highest,
                 }
     return floor
 
