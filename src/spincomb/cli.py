@@ -268,13 +268,11 @@ def _render_verify(data: dict) -> List[str]:
 def _json_chunks(data: dict) -> Iterator[str]:
     """The text of ``json.dumps(data, indent=2, sort_keys=True)``, in pieces.
 
+    ``data`` is a non-empty dict with string keys, as every command returns.
     A value that is an iterator is written one element at a time, each by
     the same encoder and re-indented to its depth, so the list is never
-    held whole; every other value goes through ``json.dumps`` as it is.
+    held whole; every other value goes through ``json.dumps``, re-indented.
     """
-    if not any(isinstance(v, Iterator) for v in data.values()):
-        yield json.dumps(data, indent=2, sort_keys=True)
-        return
     encode = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
     for i, key in enumerate(sorted(data)):
         yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "

@@ -18,10 +18,11 @@ whether the gap exceeds the parent's quartile distance), failed runs per
 side, ``pass_floor`` (each untraced run's unscaled pass times and reference
 scales, as ``perfbench/run.py`` prints them, and per workload and side the
 reference scale above which the median pass would end before the first
-reference tick, beside the highest scale seen), ``per_layer`` from the traced
-runs, every run's last output line under ``runs``, and under ``tier1`` the
-wall time (``tier1_s``), exit status and last line of one run of the tier-1
-test command per side, each in its own fresh checkout, after the workloads.
+reference tick, to set against the upper end of the scales seen),
+``per_layer`` from the traced runs, every run's last output line under
+``runs``, and under ``tier1`` the wall time (``tier1_s``), exit status and
+last line of one run of the tier-1 test command per side, each in its own
+fresh checkout, after the workloads.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def pass_floor(runs: List[dict]) -> dict:
                 "than the 0.5 s reference tick samples no reference unit and the run fails. "
                 "Per workload and side, floor_scale is the reference scale above which the "
                 "median pass would end before that tick (the median of the runs' scaled "
-                "run_s over 0.5 s), beside highest_scale_seen, the largest third quartile "
-                "of any run's reference scale",
+                "run_s over 0.5 s), to set against the upper end of reference_scale_range, "
+                "the largest third quartile of any run's reference scale",
         "runs": [],
     }
     for r in runs:
@@ -206,14 +207,12 @@ def pass_floor(runs: List[dict]) -> dict:
             if rows:
                 scaled = [r["result"]["metrics"]["run_s"]["value"] for r in runs
                           if r["workload"] == workload and r["side"] == side and "result" in r]
-                highest = max(x["reference_scale"]["q3"] for x in rows)
                 floor[f"{workload}_{side}"] = {
                     "unscaled_run_s_range": [min(x["unscaled_run_s"]["q1"] for x in rows),
                                              max(x["unscaled_run_s"]["q3"] for x in rows)],
                     "reference_scale_range": [min(x["reference_scale"]["q1"] for x in rows),
-                                              highest],
+                                              max(x["reference_scale"]["q3"] for x in rows)],
                     "floor_scale": round(statistics.median(scaled) / REF_TICK, 4),
-                    "highest_scale_seen": highest,
                 }
     return floor
 
