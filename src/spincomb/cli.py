@@ -16,31 +16,18 @@ from typing import Iterator, List, Optional
 
 from . import __version__
 from .curvefile import CurveFile, parse_curve
-from .cycles import cyclic_betti_set, is_eulerian
+from .cycles import betti_profile, cyclic_betti_set, is_eulerian
 from .enumeration import SweepReport, sweep_theorems
 from .errors import CapExceededError, CurveFileError, GraphError, VanishingComponentError
-from .graphs import Multigraph, _lowpoint_dfs, betti_number
-from .spin import check_corollary_split, curve_genus, even_set_supports, spin_report
-from .transforms import Verdict, check_theorems, classify, is_superstable, superstable_reduction
+from .graphs import Multigraph, _lowpoint_dfs
+from .spin import _betti, _corollary_split, even_set_supports, spin_report
+from .transforms import Verdict, _theorems, classify, is_superstable, superstable_reduction
 
 
 def _pow2(n: int) -> str:
     if n >= 2 and n & (n - 1) == 0:
         return f"{n} (2^{n.bit_length() - 1})"
     return str(n)
-
-
-def _refuse_unprintable(exponent: int, what: str) -> None:
-    """Raise ValueError, before 2^exponent is built, if printing it would
-    pass the interpreter's int-to-str digit limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 2^k has more than `limit` digits exactly when 2^k > 10^limit: never
-    # for k <= 3 limit (8^limit), always for k >= 4 limit (16^limit), and in
-    # between 10^limit costs no more than printing 2^k would
-    if limit and exponent > 3 * limit and (
-        exponent >= 4 * limit or exponent >= (10**limit).bit_length()
-    ):
-        raise ValueError(f"{what} 2^{exponent} has more than {limit} digits, too many to print")
 
 
 def _load(path: str) -> CurveFile:
@@ -89,9 +76,7 @@ def _render_analyze(data: dict) -> List[str]:
 
 
 def cmd_spin(cf: CurveFile) -> dict:
-    x = cf.to_dual_graph()
-    _refuse_unprintable(2 * curve_genus(x), "the length")
-    report = spin_report(x)
+    report = spin_report(cf.to_dual_graph())
     return {
         "b": report.b,
         "p": report.p,
@@ -124,6 +109,8 @@ def _render_spin(data: dict) -> List[str]:
 
 
 def cmd_classify(cf: CurveFile) -> dict:
+    """The recognizers and three verdicts from one cycle-space pass: the core
+    has the curve's B and b1, so the corollary reads its profile too."""
     x = cf.to_dual_graph()
     g = x.graph
     cls = classify(g)  # the four classes have 2, 1, 4 and 3 vertices
@@ -136,19 +123,21 @@ def cmd_classify(cf: CurveFile) -> dict:
         "via_reduction": False,
         "theorem2": None,
         "theorem3": None,
-        "corollary_split": _verdict_dict(check_corollary_split(x), cf.edge_names),
     }
     try:
         target = superstable_reduction(g)  # g itself when already superstable
     except VanishingComponentError:
+        data["corollary_split"] = _verdict_dict(_corollary_split(x, {0}, cls), cf.edge_names)
         return data
+    profile = betti_profile(target)
+    data["corollary_split"] = _verdict_dict(_corollary_split(x, profile, cls), cf.edge_names)
     data["via_reduction"] = target is not g
     names = (
         cf.edge_names
         if target is g
         else tuple(f"r{i}" for i in range(target.edge_count))
     )
-    theorem2, theorem3 = check_theorems(target)
+    theorem2, theorem3 = _theorems(profile, cls if target is g else classify(target))
     data["theorem2"] = _verdict_dict(theorem2, names)
     data["theorem3"] = _verdict_dict(theorem3, names)
     return data
@@ -180,12 +169,10 @@ def _render_classify(data: dict) -> List[str]:
 
 
 def cmd_evensets(cf: CurveFile) -> dict:
-    """The count and a lazy listing of the even sets: every refusal (the cap,
-    on the call to :func:`even_set_supports`, and the digit limit on the
-    largest point count 2^(2p + b1)) comes before the first set is read."""
+    """The count and a lazy listing of the even sets: the refusals of
+    :func:`even_set_supports` (the digit limit on the largest point count,
+    then the cap) come on its call, before the first set is read."""
     x = cf.to_dual_graph()
-    b = betti_number(x.graph)
-    _refuse_unprintable(2 * sum(x.genus_marks) + b, "the point count")
     names = cf.edge_names
     sets = (
         {
@@ -197,7 +184,7 @@ def cmd_evensets(cf: CurveFile) -> dict:
         }
         for d in even_set_supports(x)
     )
-    return {"count": 1 << b, "even_sets": sets}
+    return {"count": 1 << _betti(x), "even_sets": sets}
 
 
 def _render_evensets(data: dict) -> Iterator[str]:
@@ -269,16 +256,16 @@ def _json_chunks(data: dict) -> Iterator[str]:
     """The text of ``json.dumps(data, indent=2, sort_keys=True)``, in pieces.
 
     ``data`` is a non-empty dict with string keys, as every command returns.
-    A value that is an iterator is written one element at a time, each by
-    the same encoder and re-indented to its depth, so the list is never
-    held whole; every other value goes through ``json.dumps``, re-indented.
+    A value that is an iterator is written one element at a time, so the
+    list is never held whole; every value and element goes through the one
+    encoder, re-indented to its depth.
     """
     encode = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
     for i, key in enumerate(sorted(data)):
-        yield ("{\n  " if i == 0 else ",\n  ") + json.dumps(key) + ": "
+        yield ("{\n  " if i == 0 else ",\n  ") + encode(key) + ": "
         value = data[key]
         if not isinstance(value, Iterator):
-            yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+            yield encode(value).replace("\n", "\n  ")
             continue
         sep = "[\n    "
         for item in value:

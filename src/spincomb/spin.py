@@ -8,19 +8,13 @@ Python's unbounded integers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .cycles import _betti_sets, betti_profile, cyclic_betti_set, cyclic_sets, is_cyclic
 from .errors import InternalLengthMismatchError, NotEvenError, PreconditionFailedError
-from .graphs import (
-    EdgeSubset,
-    Multigraph,
-    _valencies,
-    betti_number,
-    connected_components,
-    subset_betti,
-)
+from .graphs import EdgeSubset, Multigraph, _valencies, connected_components, subset_betti
 from .transforms import Verdict, check_theorems, classify, is_superstable
 
 
@@ -80,9 +74,27 @@ class SupportDescription:
     multiplicity_exponent: int  # b - b1 of the even set
 
 
+def _betti(x: CurveDualGraph) -> int:
+    """b1 of the dual graph, which is connected by construction."""
+    return x.graph.edge_count - x.graph.vertex_count + 1
+
+
+def _refuse_unprintable(exponent: int, what: str) -> None:
+    """Raise ValueError, before 2^exponent is built, if printing it would
+    pass the interpreter's int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2^k has more than `limit` digits exactly when 2^k > 10^limit: never
+    # for k <= 3 limit (8^limit), always for k >= 4 limit (16^limit), and in
+    # between 10^limit costs no more than printing 2^k would
+    if limit and exponent > 3 * limit and (
+        exponent >= 4 * limit or exponent >= (10**limit).bit_length()
+    ):
+        raise ValueError(f"{what} 2^{exponent} has more than {limit} digits, too many to print")
+
+
 def curve_genus(x: CurveDualGraph) -> int:
     """Arithmetic genus: b1 of the dual graph plus the sum of genus marks."""
-    return betti_number(x.graph) + sum(x.genus_marks)
+    return _betti(x) + sum(x.genus_marks)
 
 
 def even_sets(x: CurveDualGraph) -> Iterator[EdgeSubset]:
@@ -92,7 +104,7 @@ def even_sets(x: CurveDualGraph) -> Iterator[EdgeSubset]:
 
 def is_compact_type(x: CurveDualGraph) -> bool:
     """True iff the dual graph is a tree (b1 = 0)."""
-    return betti_number(x.graph) == 0
+    return _betti(x) == 0
 
 
 def spin_report(x: CurveDualGraph) -> SpinReport:
@@ -100,11 +112,13 @@ def spin_report(x: CurveDualGraph) -> SpinReport:
 
     Each even set D contributes 2^(2p) * 2^(b1(D)) components at
     multiplicity exponent b - b1(D); the total length must come out as
-    2^(2g) exactly, which is asserted.
+    2^(2g) exactly, which is asserted.  A length 2^(2g) too long to print
+    is refused on the call, before the cycle-space pass.
     """
-    b = betti_number(x.graph)
+    b = _betti(x)
     p = sum(x.genus_marks)
     genus = b + p
+    _refuse_unprintable(2 * genus, "the length")
     multiset: Dict[int, int] = {}
     component_count = 0
     for n1, (sets, _) in betti_profile(x.graph).items():
@@ -128,26 +142,31 @@ def spin_report(x: CurveDualGraph) -> SpinReport:
 
 def multiplicity_set(x: CurveDualGraph) -> frozenset:
     """Exponents n with 2^n a multiplicity: {b - m : m cyclic Betti number}."""
-    b = betti_number(x.graph)
+    b = _betti(x)
     return frozenset(b - m for m in cyclic_betti_set(x.graph))
 
 
 def support_description(x: CurveDualGraph, delta: EdgeSubset) -> SupportDescription:
-    """Describe the quasistable support over the even set delta."""
+    """Describe the quasistable support over the even set delta; a point
+    count 2^(2p + b1(delta)) too long to print is refused."""
     if not is_cyclic(x.graph, delta):
         raise NotEvenError("the node subset is not even; no spin support exists")
     n1 = subset_betti(x.graph, delta)
-    return _support(delta, n1, betti_number(x.graph), sum(x.genus_marks))
+    p = sum(x.genus_marks)
+    _refuse_unprintable(2 * p + n1, "the point count")
+    return _support(delta, n1, _betti(x), p)
 
 
 def even_set_supports(x: CurveDualGraph) -> Iterator[SupportDescription]:
     """The support description of every even set, in the order of
     :func:`even_sets`.  The sets and their b1 come from the one pass over
     the cycle space that :func:`betti_profile` makes; b and p are computed
-    once for the whole curve.  A cycle space past the enumeration cap is
-    refused on the call."""
-    b = betti_number(x.graph)
+    once for the whole curve.  Refused on the call, before any set is read:
+    a largest point count 2^(2p + b) too long to print, then a cycle space
+    past the enumeration cap."""
+    b = _betti(x)
     p = sum(x.genus_marks)
+    _refuse_unprintable(2 * p + b, "the point count")
     width = x.graph.edge_count
     return (
         _support(EdgeSubset(bits, width), n1, b, p) for bits, n1 in _betti_sets(x.graph)
@@ -173,10 +192,15 @@ def check_corollary_split(x: CurveDualGraph) -> Verdict:
     No genus bound or stability hypothesis is applied, as the abstract of
     the paper states none, so an unstable curve is judged too: the genus-1
     rational curve with one node (one genus-0 loop vertex) fails as a loop."""
+    return _corollary_split(x, cyclic_betti_set(x.graph), classify(x.graph))
+
+
+def _corollary_split(x: CurveDualGraph, betti_set: Iterable[int], cls: str) -> Verdict:
+    """The rule of :func:`check_corollary_split`, from the cyclic Betti set
+    and the class of the dual graph."""
     g = curve_genus(x)
-    exponents = multiplicity_set(x)
+    exponents = {_betti(x) - m for m in betti_set}
     exercised = g in exponents and (g - 2) not in exponents
-    cls = classify(x.graph)
     if not exercised:
         return Verdict(True, cls)
     ok = cls == "split" or (g == 3 and cls == "tetrahedron")

@@ -4,8 +4,9 @@ and the recognizers / theorem checkers for the two classification results.
 The loop, tetrahedron and fat-triangle recognizers compare sorted edge
 lists; the tests check them against a search over all vertex permutations
 (the oracle ``are_isomorphic`` in ``tests/conftest.py``).  The rules of
-both theorems, and their superstable precondition, live in
-:func:`check_theorems` alone; :func:`check_theorem2` and
+both theorems live in ``_theorems`` alone, which reads a graph's
+``betti_profile`` and class; :func:`check_theorems` adds the superstable
+precondition and the pass, and :func:`check_theorem2` and
 :func:`check_theorem3` read one verdict each from it.
 
 :func:`eliminate_valency1`, :func:`smooth_valency2` and
@@ -21,7 +22,7 @@ order) and at random ones (``random_order_reduction``: up to isomorphism).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cycles import betti_profile
 from .errors import (
@@ -205,15 +206,16 @@ def check_theorem3(g: Multigraph) -> Verdict:
 
 def check_theorems(g: Multigraph) -> Tuple[Verdict, Verdict]:
     """The verdicts of :func:`check_theorem2` and :func:`check_theorem3`,
-    from one betti_profile and one classify of g.
-
-    The loop has b1 = 1, the tetrahedron b1 = 3 and the fat triangle
-    b1 = 4, so once a hypothesis holds the class alone decides the
-    conclusion.
-    """
+    from one betti_profile and one classify of g."""
     if not is_superstable(g):
         raise NotSuperstableError("theorem check needs a superstable graph")
-    profile, cls = betti_profile(g), classify(g)
+    return _theorems(betti_profile(g), classify(g))
+
+
+def _theorems(profile: Dict[int, Tuple[int, EdgeSubset]], cls: str) -> Tuple[Verdict, Verdict]:
+    """Both verdicts from a superstable graph's betti_profile and class.  The
+    loop has b1 = 1, the tetrahedron b1 = 3 and the fat triangle b1 = 4, so
+    once a hypothesis holds the class alone decides the conclusion."""
     if 2 not in profile:
         theorem2 = Verdict(cls in ("split", "loop", "tetrahedron"), cls, hypothesis_exercised=True)
     else:

@@ -13,24 +13,37 @@ from hypothesis import strategies as st
 
 import spincomb
 import spincomb.cli as cli
+import spincomb.cycles as cycles
 import spincomb.graphs as graphs
+import spincomb.transforms as transforms
 from spincomb import (
     CurveDualGraph,
     build_graph,
     canonical_form,
+    check_corollary_split,
+    check_theorems,
     format_curve_file,
     parse_curve,
     parse_curve_file,
     spin_report,
+    superstable_reduction,
 )
-from spincomb.cli import _refuse_unprintable, main
-from spincomb.errors import DuplicateNameError, ParseError, UnknownVertexError
+from spincomb.cli import main
+from spincomb.errors import (
+    DuplicateNameError,
+    ParseError,
+    UnknownVertexError,
+    VanishingComponentError,
+)
+from spincomb.spin import _refuse_unprintable
 
 from conftest import (
     are_isomorphic,
     cycle_with_pendant_trees,
     fat_triangle,
+    loop_graph,
     random_connected_graph,
+    random_tree,
 )
 
 SPLIT_G3 = """\
@@ -310,22 +323,31 @@ class TestCli:
         assert "length:               64 (2^6)" in out
         assert "multiplicity 2^3: 1 component(s)" in out
 
-    @pytest.mark.parametrize("command, traversals", [("analyze", 2), ("spin", 3)])
+    @pytest.mark.parametrize(
+        "command, traversals", [("analyze", 2), ("spin", 1), ("classify", 2), ("evensets", 1)]
+    )
     def test_lowpoint_dfs_runs(self, command, traversals, split_path, monkeypatch, capsys):
-        """One traversal checks that the curve is connected; analyze reads
-        everything else from one more, and spin makes one for the genus it
-        refuses on and one inside spin_report."""
-        calls = []
-        dfs = graphs._lowpoint_dfs
+        """One traversal checks that the curve is connected, and the b1 of a
+        connected curve needs none; analyze reads everything else from one
+        more, and classify makes one in the superstable reduction.  Every
+        command makes one pass over the cycle space."""
+        calls = {"_lowpoint_dfs": [], "_betti_pass": []}
 
-        def counted(g):
-            calls.append(g)
-            return dfs(g)
+        def counted(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(graphs, "_lowpoint_dfs", counted)
-        monkeypatch.setattr(cli, "_lowpoint_dfs", counted)
+            def wrapper(g):
+                calls[name].append(g)
+                return original(g)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (graphs, cli, transforms):
+            counted(module, "_lowpoint_dfs")
+        counted(cycles, "_betti_pass")
         assert main([command, split_path]) == 0
-        assert len(calls) == traversals
+        assert len(calls["_lowpoint_dfs"]) == traversals
+        assert len(calls["_betti_pass"]) == 1
 
     def test_spin_json_matches_text_numbers(self, split_path, capsys):
         assert main(["--json", "spin", split_path]) == 0
@@ -558,3 +580,54 @@ class TestCli:
         demo = pathlib.Path(__file__).parent.parent / "demos/curves/split_g3.curve"
         assert main(["analyze", str(demo)]) == 0
         capsys.readouterr()
+
+
+class TestClassifyOnePass:
+    """cmd_classify reads the split corollary and both theorems from one pass
+    over the cycle space of the core; the public checkers, each making its
+    own pass (the corollary on the input graph), are the oracle."""
+
+    VERDICTS = ("corollary_split", "theorem2", "theorem3")
+
+    @staticmethod
+    def oracle(x: CurveDualGraph, names) -> dict:
+        corollary = cli._verdict_dict(check_corollary_split(x), names)
+        try:
+            core = superstable_reduction(x.graph)
+        except VanishingComponentError:
+            return {"corollary_split": corollary, "theorem2": None, "theorem3": None}
+        if core is not x.graph:
+            names = tuple(f"r{i}" for i in range(core.edge_count))
+        theorem2, theorem3 = check_theorems(core)
+        return {
+            "corollary_split": corollary,
+            "theorem2": cli._verdict_dict(theorem2, names),
+            "theorem3": cli._verdict_dict(theorem3, names),
+        }
+
+    @staticmethod
+    def curves(rng: random.Random):
+        k33 = build_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        yield CurveDualGraph(k33, (0,) * 6)
+        yield CurveDualGraph(loop_graph(), (0,))  # genus 1, one node: fails as a loop
+        for _ in range(30):
+            tree = random_tree(rng)
+            yield CurveDualGraph(tree, tuple(rng.randint(0, 2) for _ in range(tree.vertex_count)))
+        for _ in range(150):
+            g = random_connected_graph(rng, max_b1=8, max_vertices=8)
+            top = rng.choice((0, 2))  # zero marks let the corollary's hypothesis hold
+            yield CurveDualGraph(g, tuple(rng.randint(0, top) for _ in range(g.vertex_count)))
+
+    def test_verdicts_match_the_public_checkers(self, rng):
+        seen = {"tree": 0, "reduced": 0, "superstable": 0, "exercised": 0, "fails": 0}
+        for x in self.curves(rng):
+            cf = parse_curve(format_curve_file(x))
+            data = cli.cmd_classify(cf)
+            assert {k: data[k] for k in self.VERDICTS} == self.oracle(x, cf.edge_names)
+            if data["theorem2"] is None:
+                seen["tree"] += 1
+            else:
+                seen["reduced" if data["via_reduction"] else "superstable"] += 1
+            seen["exercised"] += data["corollary_split"]["hypothesis_exercised"]
+            seen["fails"] += not data["corollary_split"]["holds"]
+        assert min(seen.values()) > 0, seen

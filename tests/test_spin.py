@@ -1,5 +1,13 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import spincomb
 from spincomb import (
     CurveDualGraph,
     EdgeSubset,
@@ -279,3 +287,62 @@ class TestK33Counterexample:
     def test_corollary_final_fails(self):
         v = check_corollary_final(self.X)
         assert (v.holds, v.hypothesis_exercised, v.classification) == (False, True, "other")
+
+
+# One library call on a split curve with a 10^11 genus mark, in a child that
+# may map 1 GiB: an answer of 2^(2 * 10^11) would take 25 GB, so building it
+# dies there with MemoryError instead of swapping.  The child prints what the
+# call raised, its time and its traced allocation peak.
+_HUGE_MARK_CALL = """
+import json, sys, time, tracemalloc
+from spincomb import (
+    CurveDualGraph, EdgeSubset, build_graph, even_set_supports, spin_report,
+    support_description,
+)
+x = CurveDualGraph(build_graph(2, [(0, 1), (0, 1)]), (10**11, 0))
+call = {
+    "spin_report": lambda: spin_report(x),
+    "even_set_supports": lambda: even_set_supports(x),  # no next()
+    "support_description": lambda: support_description(x, EdgeSubset.full(2)),
+}[sys.argv[1]]
+tracemalloc.start()
+start = time.perf_counter()
+try:
+    call()
+    raised = None
+except Exception as exc:
+    raised = [type(exc).__name__, str(exc)]
+seconds = time.perf_counter() - start
+print(json.dumps({"raised": raised, "seconds": seconds, "peak": tracemalloc.get_traced_memory()[1]}))
+"""
+
+
+class TestHugeMarkRefusedOnTheCall:
+    REFUSED = {
+        "spin_report": "the length 2^200000000002",
+        "even_set_supports": "the point count 2^200000000001",
+        "support_description": "the point count 2^200000000001",
+    }
+
+    @pytest.mark.parametrize("call", sorted(REFUSED))
+    def test_refused_before_anything_is_built(self, call):
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(spincomb.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _HUGE_MARK_CALL, call],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "4300"},
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["raised"] == [
+            "ValueError",
+            f"{self.REFUSED[call]} has more than 4300 digits, too many to print",
+        ]
+        assert result["seconds"] < 0.1
+        assert result["peak"] < 1 << 20
