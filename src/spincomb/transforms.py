@@ -205,8 +205,8 @@ def check_theorem3(g: Multigraph) -> Verdict:
 
 
 def check_theorems(g: Multigraph) -> Tuple[Verdict, Verdict]:
-    """The verdicts of :func:`check_theorem2` and :func:`check_theorem3`,
-    from one betti_profile and one classify of g."""
+    """The verdicts of :func:`check_theorem2` and :func:`check_theorem3`:
+    the one copy of their rules judges one betti_profile and classify of g."""
     if not is_superstable(g):
         raise NotSuperstableError("theorem check needs a superstable graph")
     return _theorems(betti_profile(g), classify(g))
