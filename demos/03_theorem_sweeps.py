@@ -17,14 +17,12 @@ from spincomb import (
     classify,
     cyclic_betti_set,
     enumerate_multigraphs,
-    sweep_theorem2,
-    sweep_theorem3,
+    sweep_theorems,
 )
 
 max_edges = int(sys.argv[1]) if len(sys.argv) > 1 else 7
 
-for name, sweep in (("first", sweep_theorem2), ("second", sweep_theorem3)):
-    report = sweep(max_edges)
+for name, report in zip(("first", "second"), sweep_theorems(max_edges)):
     print(
         f"{name} classification sweep to {max_edges} edges: "
         f"{report.graphs_examined} classes, {report.hypothesis_exercised} exercised, "

@@ -1,10 +1,11 @@
 """Exhaustive, isomorphism-reduced generation of small multigraphs and the
 machine sweeps verifying the two classification theorems at bounded size.
 
-Canonical forms are computed per connected component: vertices are first
-partitioned by iterated degree refinement, then the lexicographically
-minimal relabeling is found by brute force over partition-respecting
-bijections.  Valid for components with at most 8 vertices.
+Canonical forms are computed per connected component by
+individualization-refinement: iterated degree refinement splits the
+vertices into ordered cells, and a search that individualizes the vertices
+of the lowest non-singleton cell one at a time, pruning twins, keeps the
+minimal edge key over its discrete leaves (see :func:`_canonical_connected`).
 
 Connected classes grow one edge at a time from the single vertex, and each
 build is cached per (max_edges, superstable).  When only superstable
@@ -17,16 +18,15 @@ connected, by dropping a non-bridge edge or a pendant edge with its leaf,
 and that raises the deficit by at most 2; so each superstable class keeps a
 chain of unpruned ancestors, none with more vertices than the class.
 
-A kept child with delta edges and nu vertices has deficit at least
-3 * nu - 2 * delta and at most 2 * (D - delta), so nu <= 2 * D / 3, and the
-pruned build meets the 8-vertex cap only past 12 edges.  The full build of
-D edges holds the trees on D + 1 vertices.  So :func:`enumerate_multigraphs`
-admits D up to ``MAX_ENUM_EDGES`` with ``superstable`` and up to
-``MAX_COMPONENT_VERTICES - 1`` without, refuses every other bound on the
-call, before any build, and returns every class of a bound it admits.  The
-theorem sweeps admit exactly its superstable bounds: ``MAX_ENUM_EDGES`` is
-the one bound of this module.  Every class is yielded as its canonical
-form: ``g.edges == canonical_form(g).canonical_key``.
+``MAX_ENUM_EDGES`` is the one bound of this module.
+:func:`enumerate_multigraphs` and the theorem sweeps admit D in
+1..MAX_ENUM_EDGES, with or without ``superstable``, refuse every other
+bound on the call, before any build, and return every class of a bound
+they admit.  The largest component the enumerator labels is a tree with
+MAX_ENUM_EDGES + 1 vertices, and :func:`canonical_form` refuses a larger
+one, since refinement on a long cycle grows with the cube of its length.
+Every class is yielded as its canonical form:
+``g.edges == canonical_form(g).canonical_key``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import TooLargeError
@@ -44,16 +43,13 @@ from .transforms import Verdict, check_theorems, is_superstable
 Edge = Tuple[int, int]
 Key = Tuple[Edge, ...]
 
-#: Brute-force relabeling is capped at this many vertices per component.
-MAX_COMPONENT_VERTICES = 8
-
 #: Enumeration is desk-scale; larger bounds are refused.
 MAX_ENUM_EDGES = 10
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Edge list after the minimal vertex relabeling; equal iff isomorphic."""
+    """Edge list after the canonical vertex relabeling; equal iff isomorphic."""
 
     canonical_key: Key
 
@@ -67,63 +63,74 @@ class SweepReport:
     elapsed: float
 
 
-def _refine_classes(n: int, edges: List[Edge]) -> List[List[int]]:
-    """Partition vertices by iterated neighborhood refinement.
+def _refine(colors: List, nb: List[List[int]]) -> List[int]:
+    """Iterated neighbourhood refinement of a vertex colouring: each round
+    recolours v by the rank of (colour, sorted neighbour colours) among the
+    sorted signatures, until the number of colours stops growing.
 
-    Class order is determined by sorted color signatures, hence invariant
-    under relabeling.
+    The signature leads with the old colour, so each cell splits in place
+    and the cell order is invariant under relabeling.
+    """
+    n = len(colors)
+    k = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted([colors[w] for w in nb[v]]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == k or len(rank) == n:  # stable, or every cell a single vertex
+            return colors
+        k = len(rank)
+
+
+def _canonical_connected(n: int, edges: List[Edge]) -> Key:
+    """Minimal edge key over the leaves of an individualization-refinement
+    search (McKay & Piperno, J. Symb. Comput. 2014).
+
+    A node whose refined colouring is not discrete individualizes, in turn,
+    every vertex of its lowest non-singleton cell, placing it first in that
+    cell, and refines again; a leaf labels each vertex by its colour.  A
+    vertex is skipped when it is a twin of one already tried at the node:
+    one cell shares its loop count, so twins need only equal neighbours once
+    each other is removed.  Swapping twins is an automorphism fixing the
+    node, so their subtrees hold the same keys.
     """
     nb: List[List[int]] = [[] for _ in range(n)]
-    deg = [0] * n
     loops = [0] * n
     for a, b in edges:
         if a == b:
             loops[a] += 1
-            deg[a] += 2
         else:
             nb[a].append(b)
             nb[b].append(a)
-            deg[a] += 1
-            deg[b] += 1
-    colors: List = [(deg[v], loops[v]) for v in range(n)]
-    n_classes = len(set(colors))
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted([colors[w] for w in nb[v]]))) for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        k = len(rank)
-        if k == n_classes or k == n:  # stable, or every class a single vertex
-            break
-        n_classes = k
-    grouped: Dict[int, List[int]] = {}
-    for v, c in enumerate(colors):
-        grouped.setdefault(c, []).append(v)
-    return [grouped[c] for c in sorted(grouped)]
-
-
-def _canonical_connected(n: int, edges: List[Edge]) -> Key:
-    """Minimal edge key of a connected graph over class-respecting relabelings."""
-    if n > MAX_COMPONENT_VERTICES:
-        raise TooLargeError(f"component has {n} vertices, cap is {MAX_COMPONENT_VERTICES}")
-    classes = _refine_classes(n, edges)
     best: Optional[Key] = None
-    for combo in product(*(permutations(cls) for cls in classes)):
-        label = [0] * n
-        i = 0
-        for block in combo:
-            for old in block:
-                label[old] = i
-                i += 1
-        key = tuple(
-            sorted([
-                (label[a], label[b]) if label[a] <= label[b] else (label[b], label[a])
-                for a, b in edges
-            ])
-        )
-        if best is None or key < best:
-            best = key
+    stack = [_refine([(len(nb[v]) + 2 * loops[v], loops[v]) for v in range(n)], nb)]
+    while stack:
+        colors = stack.pop()
+        if max(colors) == n - 1:  # discrete: a leaf
+            key = tuple(
+                sorted([
+                    (colors[a], colors[b]) if colors[a] <= colors[b] else (colors[b], colors[a])
+                    for a, b in edges
+                ])
+            )
+            if best is None or key < best:
+                best = key
+            continue
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
+        target = next(c for c, k in enumerate(size) if k > 1)
+        tried: List[int] = []
+        for v in range(n):
+            if colors[v] != target or any(
+                sorted(w for w in nb[u] if w != v) == sorted(w for w in nb[v] if w != u)
+                for u in tried
+            ):
+                continue
+            tried.append(v)
+            split = [2 * c + (c == target) for c in colors]
+            split[v] -= 1
+            stack.append(_refine(split, nb))
     return best
 
 
@@ -132,15 +139,29 @@ def canonical_form(g: Multigraph) -> CanonicalForm:
 
     Components are canonicalized independently, ordered by
     (vertex count, edge count, key), and concatenated with vertex offsets.
+    A component with more than ``MAX_ENUM_EDGES + 1`` vertices, the largest
+    tree the enumerator builds, raises TooLargeError before any is labelled.
     """
-    pieces = []
-    for block in connected_components(g):
-        remap = {v: i for i, v in enumerate(block)}
-        vs = set(block)
-        sub_edges = [(remap[a], remap[b]) for a, b in g.edges if a in vs]
-        key = _canonical_connected(len(block), sub_edges)
-        pieces.append((len(block), len(sub_edges), key))
-    return CanonicalForm(_join(pieces))
+    blocks = connected_components(g)
+    largest = max(map(len, blocks), default=0)
+    if largest > MAX_ENUM_EDGES + 1:
+        raise TooLargeError(
+            f"component has {largest} vertices, cap is {MAX_ENUM_EDGES + 1}"
+        )
+    where = [(0, 0)] * g.vertex_count  # vertex -> (component, index in it)
+    for c, block in enumerate(blocks):
+        for i, v in enumerate(block):
+            where[v] = (c, i)
+    sub_edges: List[List[Edge]] = [[] for _ in blocks]
+    for a, b in g.edges:
+        c, i = where[a]
+        sub_edges[c].append((i, where[b][1]))
+    return CanonicalForm(
+        _join([
+            (len(block), len(sub), _canonical_connected(len(block), sub))
+            for block, sub in zip(blocks, sub_edges)
+        ])
+    )
 
 
 def _join(pieces: List[Tuple[int, int, Key]]) -> Key:
@@ -207,16 +228,13 @@ def enumerate_multigraphs(
     """The canonical form of every isomorphism class with at most max_edges
     edges, in the order (vertex count, edge count, canonical key).
 
-    max_edges must be in 1..MAX_ENUM_EDGES with ``superstable`` and in
-    1..MAX_COMPONENT_VERTICES - 1 without it (a tree with max_edges edges
-    has one vertex more); any other bound raises TooLargeError on the call,
-    before anything is built.  The classes are built on the first
-    ``next()``.  With ``superstable`` only the classes that can still
-    become superstable within max_edges are grown.
+    max_edges must be in 1..MAX_ENUM_EDGES; any other bound raises
+    TooLargeError on the call, before anything is built.  The classes are
+    built on the first ``next()``.  With ``superstable`` only the classes
+    that can still become superstable within max_edges are grown.
     """
-    limit = MAX_ENUM_EDGES if superstable else MAX_COMPONENT_VERTICES - 1
-    if not 1 <= max_edges <= limit:
-        raise TooLargeError(f"max_edges must be in 1..{limit}")
+    if not 1 <= max_edges <= MAX_ENUM_EDGES:
+        raise TooLargeError(f"max_edges must be in 1..{MAX_ENUM_EDGES}")
     return _classes(max_edges, connected, superstable)
 
 

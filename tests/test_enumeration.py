@@ -1,7 +1,7 @@
-import functools
 import itertools
 import math
 
+import networkx as nx
 import pytest
 
 from spincomb import (
@@ -71,6 +71,146 @@ def _labeled_class_count(max_edges, *, connected):
     return len(seen)
 
 
+def _refined_cells(n, edges):
+    """Vertex cells of iterated degree refinement, in increasing colour:
+    first (valency, loops), then (colour, sorted neighbour colours) ranked
+    among the sorted signatures, until the cell count stops growing."""
+    nb = [[] for _ in range(n)]
+    colors = [[0, 0] for _ in range(n)]
+    for a, b in edges:
+        colors[a][0] += 1
+        colors[b][0] += 1
+        if a == b:
+            colors[a][1] += 1
+        else:
+            nb[a].append(b)
+            nb[b].append(a)
+    colors = [tuple(c) for c in colors]
+    count = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in nb[v]))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) in (count, n):
+            break
+        count = len(rank)
+    return [[v for v in range(n) if colors[v] == c] for c in range(len(rank))]
+
+
+def permutation_key(n, edges):
+    """The minimal sorted edge key of a connected graph over every
+    relabeling that numbers the refined cells in order, each cell's vertices
+    in any order: the brute-force search the library's labelling replaced."""
+    best = None
+    for combo in itertools.product(*map(itertools.permutations, _refined_cells(n, edges))):
+        label = [0] * n
+        for i, v in enumerate(v for block in combo for v in block):
+            label[v] = i
+        key = tuple(sorted(tuple(sorted((label[a], label[b]))) for a, b in edges))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def permutation_form(g):
+    """``canonical_form(g).canonical_key`` with each component labelled by
+    :func:`permutation_key`."""
+    pieces = []
+    for block in connected_components(g):
+        remap = {v: i for i, v in enumerate(block)}
+        edges = [(remap[a], remap[b]) for a, b in g.edges if a in remap]
+        pieces.append((len(block), len(edges), permutation_key(len(block), edges)))
+    return enumeration._join(pieces)
+
+
+def _cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete_bipartite(p, q):
+    return build_graph(p + q, [(a, b) for a in range(p) for b in range(p, p + q)])
+
+
+def _cube():
+    return build_graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+def _prism(n):
+    """Two n-cycles joined by a perfect matching."""
+    rungs = [(i, i + n) for i in range(n)]
+    return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                       + [(n + i, n + (i + 1) % n) for i in range(n)] + rungs)
+
+
+def _moebius_ladder(n):
+    """A 2n-cycle with its n long diagonals."""
+    return build_graph(2 * n, [(i, (i + 1) % (2 * n)) for i in range(2 * n)]
+                       + [(i, i + n) for i in range(n)])
+
+
+def _star(leaves):
+    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def _to_networkx(g):
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    return h
+
+
+# each symmetric graph next to a non-isomorphic one of the same size and
+# valencies, and the star next to another tree on 11 vertices
+_SYMMETRIC = {
+    "K33": _complete_bipartite(3, 3),
+    "prism3": _prism(3),
+    "Q3": _cube(),
+    "moebius4": _moebius_ladder(4),
+    "petersen": _petersen(),
+    "prism5": _prism(5),
+    "star10": _star(10),
+    "spider": build_graph(11, [(0, i) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)]),
+    "C11": _cycle(11),
+    "C11_doubled": build_graph(11, [(i, (i + 1) % 11) for i in range(11)] * 2),
+}
+
+
+class TestAgainstPermutationOracle:
+    """The labelling gives the brute-force key on every class the
+    enumerator built with the permutation search, and differs from it on a
+    class the permutation search labelled but the enumerator never built."""
+
+    @pytest.mark.parametrize("max_edges, superstable", [(9, True), (7, False)])
+    def test_every_built_class(self, max_edges, superstable):
+        for g in enumeration._connected_classes(max_edges, superstable):
+            assert permutation_key(g.vertex_count, g.edges) == g.edges
+
+    def test_every_superstable_class_with_nine_edges(self):
+        got = list(enumerate_multigraphs(9, superstable=True))
+        assert len(got) == 2835
+        for g in got:
+            assert permutation_form(g) == g.edges
+
+    def test_the_one_changed_key(self):
+        """The 8-vertex unicyclic graph below is the one class where the
+        minimal leaf key is not the minimal class-respecting relabeling:
+        refinement after individualizing a vertex splits its cell in an
+        order that key never reaches."""
+        edges = ((0, 6), (1, 7), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7))
+        new = ((0, 6), (1, 7), (2, 4), (2, 6), (3, 5), (3, 6), (4, 7), (5, 7))
+        g = build_graph(8, list(edges))
+        assert permutation_key(8, edges) == edges
+        assert canonical_form(g).canonical_key == new
+        assert nx.is_isomorphic(_to_networkx(g), _to_networkx(build_graph(8, list(new))))
+
+
 class TestCanonicalForm:
     def test_relabel_invariance(self, rng):
         for _ in range(30):
@@ -91,9 +231,64 @@ class TestCanonicalForm:
         assert len(keys) == len(corpus)
 
     def test_component_too_large(self):
-        g = build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+        """A component past the largest tree the enumerator builds,
+        MAX_ENUM_EDGES + 1 vertices, is refused, however many small
+        components come before it; one of that size is labelled."""
+        cap = enumeration.MAX_ENUM_EDGES + 1
+        assert cap == 11
+        loops = [(v, v) for v in range(1000)]
+        big = [(1000 + i, 1000 + (i + 1) % 12) for i in range(12)]
         with pytest.raises(TooLargeError):
-            canonical_form(g)
+            canonical_form(build_graph(1012, loops + big))
+        assert len(canonical_form(_cycle(cap)).canonical_key) == cap
+
+    @pytest.mark.parametrize("name", sorted(_SYMMETRIC))
+    def test_symmetric_graph_relabel_invariance(self, name, rng):
+        g = _SYMMETRIC[name]
+        key = canonical_form(g).canonical_key
+        assert len(key) == g.edge_count
+        for _ in range(5):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            assert canonical_form(relabeled(g, perm)).canonical_key == key
+
+    def test_symmetric_graphs_distinct_iff_not_isomorphic(self):
+        names = sorted(_SYMMETRIC)
+        for a, b in itertools.combinations(names, 2):
+            ga, gb = _SYMMETRIC[a], _SYMMETRIC[b]
+            same = canonical_form(ga) == canonical_form(gb)
+            assert same == nx.is_isomorphic(_to_networkx(ga), _to_networkx(gb)), (a, b)
+            assert not same
+
+    def test_twins_count_parallel_edges(self):
+        """Vertices 3 and 4 share the lowest cell and the neighbour set
+        {1, 2}, but not its multiplicities, so they are no twins and both
+        subtrees are searched: every relabeling gets the one key."""
+        g = build_graph(5, [(0, 1), (0, 1), (0, 2), (0, 2), (1, 3), (1, 4), (1, 4), (1, 4),
+                            (2, 3), (2, 3), (2, 3), (2, 4)])
+        keys = {canonical_form(relabeled(g, p)) for p in itertools.permutations(range(5))}
+        assert len(keys) == 1
+
+    def test_many_components(self, rng):
+        """A graph of hundreds of components, their vertices interleaved,
+        gets the components' keys in (vertex count, edge count, key) order."""
+        parts = [random_graph(rng, max_b1=3) for _ in range(150)]
+        parts += [loop_graph()] * 400
+        n = sum(p.vertex_count for p in parts)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges, pieces, offset = [], [], 0
+        for p in parts:
+            edges += [(perm[a + offset], perm[b + offset]) for a, b in p.edges]
+            offset += p.vertex_count
+            for block in connected_components(p):
+                sub = Multigraph(len(block), tuple(
+                    (block.index(a), block.index(b)) for a, b in p.edges if a in block
+                ))
+                pieces.append((sub.vertex_count, sub.edge_count, canonical_form(sub).canonical_key))
+        g = build_graph(n, [(min(e), max(e)) for e in edges])
+        assert canonical_form(g).canonical_key == enumeration._join(pieces)
+        assert canonical_form(g).canonical_key == permutation_form(g)
 
     def test_disconnected_order_independent(self):
         # loop + triangle vs triangle + loop under one labeling
@@ -171,26 +366,15 @@ class TestEnumerate:
                 val[b] += 1
             assert 1 not in val
 
-    @pytest.mark.parametrize("max_edges", [9, 10])
+    @pytest.mark.parametrize("max_edges", [0, enumeration.MAX_ENUM_EDGES + 1])
     @pytest.mark.parametrize("connected", [True, False])
-    def test_bridgeless_refused_past_eight_edges(self, max_edges, connected):
-        """The 9-cycle has 9 vertices, past the component cap.  A bridgeless
-        enumeration filters the full build, and the full build above 7 edges
-        is refused before anything is built."""
+    @pytest.mark.parametrize("superstable", [True, False])
+    def test_refused_past_the_bound(self, max_edges, connected, superstable):
+        """MAX_ENUM_EDGES bounds the full and the pruned build alike, and a
+        bound outside 1..MAX_ENUM_EDGES is refused before anything is built."""
         before = enumeration._connected_classes.cache_info()
         with pytest.raises(TooLargeError):
-            list(enumerate_multigraphs(max_edges, connected=connected))
-        after = enumeration._connected_classes.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
-
-    @pytest.mark.parametrize("connected", [True, False])
-    def test_eight_edges_refused_before_any_build(self, connected):
-        """The 47 trees with 8 edges have 9 vertices, past the component
-        cap, so the full build of 8 edges is refused rather than returned
-        without them."""
-        before = enumeration._connected_classes.cache_info()
-        with pytest.raises(TooLargeError):
-            list(enumerate_multigraphs(8, connected=connected))
+            list(enumerate_multigraphs(max_edges, connected=connected, superstable=superstable))
         after = enumeration._connected_classes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -198,15 +382,24 @@ class TestEnumerate:
         """The refusal comes from the call itself, not the first next()."""
         before = enumeration._connected_classes.cache_info()
         with pytest.raises(TooLargeError):
-            enumerate_multigraphs(8)
+            enumerate_multigraphs(enumeration.MAX_ENUM_EDGES + 1)
         after = enumeration._connected_classes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_seven_edges_hold_every_tree(self):
-        """At the largest bound the full build admits, the classes on 8
-        vertices are the 23 trees with 7 edges: the cap cuts nothing."""
+        """The classes on 8 vertices with at most 7 edges are the 23 trees
+        with 7 edges."""
         got = [g for g in enumerate_multigraphs(7, connected=True) if g.vertex_count == 8]
         assert len(got) == 23
+
+    def test_eight_edges_match_oeis(self):
+        """The full build of 8 edges, the largest tier-1 runs, holds the
+        connected multigraphs with loops on 1..8 edges counted by OEIS
+        A050535, the 47 trees on 9 vertices among them."""
+        got = list(enumerate_multigraphs(8, connected=True))
+        per_edges = [sum(g.edge_count == d for g in got) for d in range(1, 9)]
+        assert per_edges == [2, 4, 11, 30, 95, 328, 1211, 4779]
+        assert sum(g.vertex_count == 9 for g in got) == 47
 
     def test_bridgeless_bounds_still_answered(self):
         seven = [
@@ -286,25 +479,13 @@ def _deficit_oracle(g):
     return sum(max(0, 3 - d) for d in val)
 
 
-# full builds for the oracle past the bound enumerate_multigraphs admits,
-# shared by the rows that need one
-_ORACLE_BUILDS = functools.cache(enumeration._connected_classes.__wrapped__)
-
-
 class TestDeficitPruning:
     @pytest.mark.parametrize("max_edges", range(1, 9))
     @pytest.mark.parametrize("connected", [True, False])
-    def test_pruned_equals_filtered_full_enumeration(
-        self, max_edges, connected, monkeypatch
-    ):
+    def test_pruned_equals_filtered_full_enumeration(self, max_edges, connected):
         pruned = list(
             enumerate_multigraphs(max_edges, connected=connected, superstable=True)
         )
-        if max_edges == 8:
-            # the full build of 8 edges holds the trees on 9 vertices: let
-            # the oracle canonicalize them, in a cache apart from the library's
-            monkeypatch.setattr(enumeration, "MAX_COMPONENT_VERTICES", 9)
-            monkeypatch.setattr(enumeration, "_connected_classes", _ORACLE_BUILDS)
         full = [
             g
             for g in enumerate_multigraphs(max_edges, connected=connected)
