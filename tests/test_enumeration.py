@@ -184,13 +184,23 @@ _SYMMETRIC = {
 
 class TestAgainstPermutationOracle:
     """The labelling gives the brute-force key on every class the
-    enumerator built with the permutation search, and differs from it on a
-    class the permutation search labelled but the enumerator never built."""
+    permutation search labelled with at most 8 edges but one, which the
+    enumerator did not build while the general bound was 7 edges."""
 
-    @pytest.mark.parametrize("max_edges, superstable", [(9, True), (7, False)])
+    CHANGED = ((0, 6), (1, 7), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7))
+    NEW_KEY = ((0, 6), (1, 7), (2, 4), (2, 6), (3, 5), (3, 6), (4, 7), (5, 7))
+
+    @pytest.mark.parametrize("max_edges, superstable", [(9, True), (8, False)])
     def test_every_built_class(self, max_edges, superstable):
-        for g in enumeration._connected_classes(max_edges, superstable):
-            assert permutation_key(g.vertex_count, g.edges) == g.edges
+        """Every connected class of the pruned 9-edge build, and every one
+        of the full 8-edge build on at most 8 vertices (the old component
+        cap), against the oracle."""
+        changed = [
+            g.edges
+            for g in enumeration._connected_classes(max_edges, superstable)
+            if g.vertex_count <= 8 and permutation_key(g.vertex_count, g.edges) != g.edges
+        ]
+        assert changed == ([] if superstable else [self.NEW_KEY])
 
     def test_every_superstable_class_with_nine_edges(self):
         got = list(enumerate_multigraphs(9, superstable=True))
@@ -199,16 +209,14 @@ class TestAgainstPermutationOracle:
             assert permutation_form(g) == g.edges
 
     def test_the_one_changed_key(self):
-        """The 8-vertex unicyclic graph below is the one class where the
-        minimal leaf key is not the minimal class-respecting relabeling:
-        refinement after individualizing a vertex splits its cell in an
-        order that key never reaches."""
-        edges = ((0, 6), (1, 7), (2, 3), (2, 6), (3, 7), (4, 5), (4, 6), (5, 7))
-        new = ((0, 6), (1, 7), (2, 4), (2, 6), (3, 5), (3, 6), (4, 7), (5, 7))
-        g = build_graph(8, list(edges))
-        assert permutation_key(8, edges) == edges
-        assert canonical_form(g).canonical_key == new
-        assert nx.is_isomorphic(_to_networkx(g), _to_networkx(build_graph(8, list(new))))
+        """The leaves of the search are relabelings that keep the refined
+        cell order, so the minimal leaf key is at least the oracle's; on
+        this 8-vertex unicyclic graph it is larger."""
+        g = build_graph(8, list(self.CHANGED))
+        assert permutation_key(8, self.CHANGED) == self.CHANGED
+        assert canonical_form(g).canonical_key == self.NEW_KEY > self.CHANGED
+        h = build_graph(8, list(self.NEW_KEY))
+        assert nx.is_isomorphic(_to_networkx(g), _to_networkx(h))
 
 
 class TestCanonicalForm:
