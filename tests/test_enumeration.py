@@ -386,6 +386,52 @@ class TestEnumerate:
         after = enumeration._connected_classes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    @pytest.mark.parametrize("max_edges", [9, 10])
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_bridgeless_refused_past_eight_edges(self, max_edges, connected):
+        """Bridgeless enumerations of 9 and 10 edges were refused while
+        components were capped at 8 vertices.  They are now admitted on the
+        call without building anything, the max_edges-cycle they hold is
+        labelled, and the refusal comes only past MAX_ENUM_EDGES."""
+        before = enumeration._connected_classes.cache_info()
+        enumerate_multigraphs(max_edges, connected=connected)
+        with pytest.raises(TooLargeError):
+            enumerate_multigraphs(enumeration.MAX_ENUM_EDGES + 1, connected=connected)
+        after = enumeration._connected_classes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        form = Multigraph(max_edges, canonical_form(_cycle(max_edges)).canonical_key)
+        assert form.edge_count == max_edges and not separating_edges(form)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_eight_edges_refused_before_any_build(self, connected):
+        """The 47 trees with 8 edges have 9 vertices, past the old 8-vertex
+        cap that refused the full build of 8 edges.  The build is now
+        admitted on the call without building anything and returns them,
+        and with disconnected classes it holds every multiset of the
+        connected classes counted by OEIS A050535."""
+        before = enumeration._connected_classes.cache_info()
+        it = enumerate_multigraphs(8, connected=connected)
+        after = enumeration._connected_classes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        got = list(it)
+        trees = [g for g in got if g.vertex_count == 9 and count_components(9, g.edges) == 1]
+        assert len(trees) == 47
+        assert all(g.edge_count == 8 and betti_number(g) == 0 for g in trees)
+        exact = dict(enumerate([2, 4, 11, 30, 95, 328, 1211, 4779], start=1))
+        if connected:
+            assert len(got) == sum(exact.values())
+            return
+        total = [1] + [0] * 8
+        for d, n in exact.items():
+            new = [0] * 9
+            for e, ways in enumerate(total):
+                m = 0
+                while ways and e + m * d <= 8:
+                    new[e + m * d] += ways * math.comb(n + m - 1, m)
+                    m += 1
+            total = new
+        assert len(got) == sum(total[1:])
+
     def test_refused_on_the_call(self):
         """The refusal comes from the call itself, not the first next()."""
         before = enumeration._connected_classes.cache_info()
