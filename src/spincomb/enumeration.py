@@ -27,6 +27,13 @@ MAX_ENUM_EDGES + 1 vertices, and :func:`canonical_form` refuses a larger
 one, since refinement on a long cycle grows with the cube of its length.
 Every class is yielded as its canonical form:
 ``g.edges == canonical_form(g).canonical_key``.
+
+The class table is compact.  Every key the labelling, the augmentation and
+the join of components build holds the one interned tuple of each vertex
+pair (:func:`_interned`), not a tuple per edge, so a key costs a pointer per
+edge.  A build is cached in the order the connected classes are yielded,
+and a connected enumeration yields those cached objects: each class exists
+once, and a one-component key is never rebuilt.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError
 from .graphs import Multigraph, connected_components
@@ -45,6 +53,12 @@ Key = Tuple[Edge, ...]
 
 #: Enumeration is desk-scale; larger bounds are refused.
 MAX_ENUM_EDGES = 10
+
+#: The one shared tuple of each vertex pair a key has held, each its own
+#: key and value.  A pair lies in one component of at most
+#: MAX_ENUM_EDGES + 1 vertices, so the table holds at most that many pairs
+#: per vertex of the largest graph labelled.
+_PAIRS: Dict[Edge, Edge] = {}
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,11 @@ class SweepReport:
     vacuous: int
     violations: Tuple[Tuple[Key, Verdict], ...]
     elapsed: float
+
+
+def _interned(pairs: Sequence[Edge]) -> Key:
+    """The key of ``pairs`` made of the interned pair tuples."""
+    return tuple(map(_PAIRS.setdefault, pairs, pairs))
 
 
 def _refine(colors: List, nb: List[List[int]]) -> List[int]:
@@ -92,7 +111,8 @@ def _canonical_connected(n: int, edges: List[Edge]) -> Key:
     vertex is skipped when it is a twin of one already tried at the node:
     one cell shares its loop count, so twins need only equal neighbours once
     each other is removed.  Swapping twins is an automorphism fixing the
-    node, so their subtrees hold the same keys.
+    node, so their subtrees hold the same keys.  The minimal key is
+    returned with its pairs interned.
     """
     nb: List[List[int]] = [[] for _ in range(n)]
     loops = [0] * n
@@ -131,7 +151,7 @@ def _canonical_connected(n: int, edges: List[Edge]) -> Key:
             split = [2 * c + (c == target) for c in colors]
             split[v] -= 1
             stack.append(_refine(split, nb))
-    return best
+    return _interned(best)
 
 
 def canonical_form(g: Multigraph) -> CanonicalForm:
@@ -166,13 +186,16 @@ def canonical_form(g: Multigraph) -> CanonicalForm:
 
 def _join(pieces: List[Tuple[int, int, Key]]) -> Key:
     """Canonical keys of components, given as (vertex count, edge count,
-    key), in that order and concatenated with vertex offsets."""
+    key), in that order and concatenated with vertex offsets, as interned
+    pairs.  One piece is its own key: its offset is 0."""
+    if len(pieces) == 1:
+        return pieces[0][2]
     combined: List[Edge] = []
     offset = 0
     for nverts, _, key in sorted(pieces):
         combined.extend((a + offset, b + offset) for a, b in key)
         offset += nverts
-    return tuple(combined)
+    return _interned(combined)
 
 
 def _deficit(n: int, edges: Key) -> int:
@@ -209,13 +232,16 @@ def _grow(level: Dict[Key, int], budget: Optional[int]) -> Dict[Key, int]:
 @functools.cache
 def _connected_classes(max_edges: int, superstable: bool) -> Tuple[Multigraph, ...]:
     """Connected classes with at most max_edges edges, grown level by level
-    from the single vertex; with ``superstable``, a superset of the
-    superstable ones, grown under the deficit budget 2 * (max_edges - delta)."""
+    from the single vertex, in the order (vertex count, edge count, key);
+    with ``superstable``, a superset of the superstable ones, grown under
+    the deficit budget 2 * (max_edges - delta)."""
     level: Dict[Key, int] = {(): 1}
     classes: List[Multigraph] = []
     for delta in range(1, max_edges + 1):
         level = _grow(level, 2 * (max_edges - delta) if superstable else None)
-        classes.extend(Multigraph(n, key) for key, n in level.items())
+        classes.extend(Multigraph(level[key], key) for key in sorted(level))
+    # stable, so each vertex count keeps the (edge count, key) order
+    classes.sort(key=attrgetter("vertex_count"))
     return tuple(classes)
 
 
@@ -240,29 +266,29 @@ def enumerate_multigraphs(
 
 def _classes(max_edges: int, connected: bool, superstable: bool) -> Iterator[Multigraph]:
     """The classes of :func:`enumerate_multigraphs`, built on the first
-    ``next()``."""
+    ``next()``: the cached connected ones themselves, or every multiset of
+    them as the (vertex count, edge count, key) of its union."""
     comps = _connected_classes(max_edges, superstable)
     if superstable:
         comps = [c for c in comps if is_superstable(c)]
-
-    # each result as the list of its components, all in canonical form
-    results: List[List[Multigraph]] = []
     if connected:
-        results = [[c] for c in comps]
-    else:
-        comps = sorted(comps, key=lambda c: (c.edge_count, c.edges))
+        yield from comps
+        return
+    comps = sorted(comps, key=lambda c: (c.edge_count, c.edges))
+    results: List[Tuple[int, int, Key]] = []
 
-        def unions(start: int, budget: int, acc: List[Multigraph]):
-            if acc:
-                results.append(acc)
-            for i in range(start, len(comps)):
-                c = comps[i]
-                if c.edge_count > budget:
-                    break
-                unions(i, budget - c.edge_count, acc + [c])
+    def unions(start: int, budget: int, acc: List[Multigraph]):
+        if acc:
+            results.append(_sort_key(acc))
+        for i in range(start, len(comps)):
+            c = comps[i]
+            if c.edge_count > budget:
+                break
+            unions(i, budget - c.edge_count, acc + [c])
 
-        unions(0, max_edges, [])
-    for n, _, key in sorted(map(_sort_key, results)):
+    unions(0, max_edges, [])
+    results.sort()
+    for n, _, key in results:
         yield Multigraph(n, key)
 
 

@@ -20,11 +20,12 @@ Edge = Tuple[int, int]
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Multigraph:
     """An undirected multigraph; loops and parallel edges allowed.
 
-    Immutable after construction.  ``edges[i]`` is the normalized
+    Immutable after construction, and slotted: no instance ``__dict__``
+    and no weak references.  ``edges[i]`` is the normalized
     (min, max) endpoint pair of edge i.  Use :func:`build_graph` for
     validated construction; transforms may build degenerate graphs
     (isolated vertices, even the empty graph) directly.

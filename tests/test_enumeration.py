@@ -298,6 +298,32 @@ class TestCanonicalForm:
         assert canonical_form(g).canonical_key == enumeration._join(pieces)
         assert canonical_form(g).canonical_key == permutation_form(g)
 
+    def test_interned_past_the_enumerator_sizes(self, rng):
+        """Past the largest offset the enumerator's unions reach,
+        2 * MAX_ENUM_EDGES + 2, the key holds the values of a tuple built
+        per edge, and each pair as one tuple."""
+        loops = canonical_form(build_graph(1000, [(v, v) for v in range(1000)])).canonical_key
+        assert loops == tuple((v, v) for v in range(1000))
+        assert loops[0] is canonical_form(loop_graph()).canonical_key[0]
+        parts = [random_connected_graph(rng, max_b1=3, max_vertices=6) for _ in range(300)]
+        n = sum(p.vertex_count for p in parts)
+        assert n > 2 * enumeration.MAX_ENUM_EDGES + 2
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges, offset = [], 0
+        for p in parts:
+            edges += [(perm[a + offset], perm[b + offset]) for a, b in p.edges]
+            offset += p.vertex_count
+        key = canonical_form(build_graph(n, edges)).canonical_key
+        pieces = sorted((p.vertex_count, p.edge_count, canonical_form(p).canonical_key)
+                        for p in parts)
+        expected, offset = [], 0
+        for nverts, _, piece in pieces:
+            expected += [(a + offset, b + offset) for a, b in piece]
+            offset += nverts
+        assert key == tuple(expected)
+        assert len({id(p) for p in key}) == len(set(key))
+
     def test_disconnected_order_independent(self):
         # loop + triangle vs triangle + loop under one labeling
         a = build_graph(4, [(0, 0), (1, 2), (2, 3), (1, 3)])

@@ -1,5 +1,8 @@
+import dataclasses
+import pickle
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given
@@ -66,6 +69,37 @@ class TestBuildGraph:
     def test_endpoints_normalized(self):
         g = build_graph(2, [(1, 0)])
         assert g.edges == ((0, 1),)
+
+
+class TestMultigraphValue:
+    """A slotted frozen dataclass: a value, with no instance dict and no
+    weak references."""
+
+    def test_hashable_and_equal_by_value(self):
+        g = build_graph(3, [(1, 0), (1, 2), (2, 2)])
+        h = Multigraph(3, ((0, 1), (1, 2), (2, 2)))
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert g != Multigraph(3, ((0, 1), (1, 2)))
+
+    def test_frozen_and_slotted(self):
+        g = tetrahedron()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.vertex_count = 5
+        # a name that is no field has no slot; Python 3.11's frozen
+        # __setattr__ raises TypeError for it on a slotted class
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            g.label = "K4"
+        assert not hasattr(g, "label") and not hasattr(g, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(g)
+
+    def test_replace_and_pickle(self):
+        g = fat_triangle()
+        grown = dataclasses.replace(g, vertex_count=4, edges=g.edges + ((2, 3),))
+        assert grown == build_graph(4, list(g.edges) + [(2, 3)])
+        assert g == fat_triangle()
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy is not g and copy.edge_count == g.edge_count
 
 
 class TestValency:

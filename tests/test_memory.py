@@ -1,7 +1,9 @@
 """Memory linear in the curve: the cycle basis and the cycle-space pass on
 long rings, the file commands on a written ring, a refusal past the
 enumeration cap that builds no basis vector, an uncapped basis that builds
-nothing the walk alone reads, and an even-set listing that streams.
+nothing the walk alone reads, and an even-set listing that streams.  The
+enumerator's class table holds one copy of each class and one tuple per
+vertex pair.
 
 Peaks are Python allocations traced by tracemalloc.  A ring of m edges has
 b1 = 1, so nothing in the answer grows faster than m; one m-bit int per
@@ -25,6 +27,7 @@ from spincomb import (
     cyclic_betti_set,
     format_curve_file,
 )
+from spincomb import enumeration
 from spincomb.cli import main
 from spincomb.errors import CapExceededError
 
@@ -42,6 +45,12 @@ LISTING_B1 = (8, 11)
 #: A 4x longer ring may take this many times the memory: 4 when linear,
 #: plus slack for list over-allocation and those cached ints.
 GROWTH = 5.8
+
+#: Bytes per class that the general 8-edge connected build may peak at,
+#: built from an empty cache: about 275 with one shared tuple per vertex
+#: pair and the cached classes yielded as they are, about 1,300 with a
+#: tuple per edge and a second copy of each class made on the way out.
+CLASS_BYTES = 500
 
 
 def traced_peak(call) -> int:
@@ -139,3 +148,25 @@ def test_evensets_listing_streams(flags, tmp_path):
     assert sizes[1] > 8 * sizes[0]
     small, large = peaks
     assert large < 2 * small, (small, large)
+
+
+def test_class_table_is_compact():
+    enumeration._connected_classes.cache_clear()
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumeration.enumerate_multigraphs(8, connected=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 6460
+    assert peak < CLASS_BYTES * count, (peak, count)
+
+
+def test_class_table_shares_each_pair():
+    """Every key of the general 8-edge build and every class of the 6-edge
+    enumeration with disconnected ones holds the one tuple of each pair, so
+    no two of their pairs are equal but distinct objects."""
+    keys = [g.edges for g in enumeration._connected_classes(8, False)]
+    keys += [g.edges for g in enumeration.enumerate_multigraphs(6)]
+    pairs = [p for key in keys for p in key]
+    assert len({id(p) for p in pairs}) == len(set(pairs))

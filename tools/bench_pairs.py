@@ -19,6 +19,11 @@ side, ``pass_floor`` (each untraced run's unscaled pass times and reference
 scales, as ``perfbench/run.py`` prints them, and per workload and side the
 reference scale above which the median pass would end before the first
 reference tick, to set against the upper end of the scales seen),
+For ``sweep`` the floor is read from its one call instead: after each
+untraced run, a fresh interpreter in the same checkout times
+``cli.main(["--json", "verify", "9"])`` in-process between two units of that
+checkout's ``perfbench/reference.py`` (the run's whole-process ``run_s``
+also holds interpreter start and imports, which no reference tick sees).
 ``per_layer`` from the traced runs, every run's last output line under
 ``runs``, and under ``tier1`` the wall time (``tier1_s``), exit status and
 last line of one run of the tier-1 test command per side, each in its own
@@ -41,6 +46,24 @@ from typing import Dict, List, Optional
 
 RUN_TIMEOUT = 300  # seconds; perfbench ends a run by itself within 180
 REF_TICK = 0.5  # seconds to the first reference unit of an untraced pass (REF_INTERVAL)
+
+#: The sweep pass's one call as perfbench/worker.py makes it, timed at
+#: reference speed: ``reference.scale`` of the two units around it.
+SWEEP_PROBE = """
+import contextlib, io, json, sys, time
+sys.path[:0] = ["src", "perfbench"]
+import reference
+import spincomb.cli as cli
+ref_s = reference.measure()
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["--json", "verify", "9"])
+call_s = time.perf_counter() - start
+ref_s += reference.measure()
+scale = reference.scale(2, ref_s)
+print(json.dumps({"call_s": call_s, "status": status, "reference_scale": scale,
+                  "scaled_call_s": call_s * scale}))
+"""
 
 
 def git(*args: str) -> str:
@@ -72,7 +95,9 @@ def parse_rows(lines: List[str]) -> Dict[str, dict]:
 
 def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, work: Path) -> dict:
     """One perfbench run of ``rev`` in a fresh checkout; its last JSON line
-    as ``result`` and the unscaled rows printed before it, or the failure."""
+    as ``result`` and the unscaled rows printed before it, or the failure.
+    An untraced ``sweep`` run adds its call timed in that checkout
+    (``sweep_call``)."""
     root = work / f"{rev[:12]}-{workload}-{seed}-{trace}"
     checkout(rev, root)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -81,6 +106,7 @@ def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, wor
     try:
         proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT)
+        probe = sweep_call(root, env) if workload == "sweep" and not trace else None
     except subprocess.TimeoutExpired:
         return {"error": f"no result within {RUN_TIMEOUT} s"}
     finally:
@@ -93,7 +119,22 @@ def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, wor
         return {"error": f"exit {proc.returncode}: " + " | ".join(tail)}
     header = "unscaled wall times"
     start = next((i for i, line in enumerate(lines) if line.startswith(header)), len(lines))
-    return {"result": result, "unscaled": parse_rows(lines[start + 1:-1])}
+    out = {"result": result, "unscaled": parse_rows(lines[start + 1:-1])}
+    if probe is not None:
+        out["sweep_call"] = probe
+    return out
+
+
+def sweep_call(root: Path, env: dict) -> dict:
+    """``SWEEP_PROBE`` run once in a fresh interpreter in ``root``: the call's
+    wall time, exit status, reference scale and scaled time, or the failure."""
+    proc = subprocess.run([sys.executable, "-c", SWEEP_PROBE], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT)
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        tail = proc.stderr.strip().splitlines()[-3:]
+        return {"error": f"exit {proc.returncode}: " + " | ".join(tail)}
 
 
 def tier1(rev: str, work: Path) -> dict:
@@ -191,15 +232,23 @@ def pass_floor(runs: List[dict]) -> dict:
                 "Per workload and side, floor_scale is the reference scale above which the "
                 "median pass would end before that tick (the median of the runs' scaled "
                 "run_s over 0.5 s), to set against the upper end of reference_scale_range, "
-                "the largest third quartile of any run's reference scale",
+                "the largest third quartile of any run's reference scale. On sweep, whose "
+                "run_s is a whole process, interpreter start and imports included, the "
+                "ticks see only its one call: sweep_call is that call (verify 9) timed "
+                "in-process in a fresh interpreter of the run's checkout after the run, "
+                "scaled by the reference units just before and after it, and floor_scale "
+                "is the median scaled_call_s over 0.5 s",
         "runs": [],
     }
     for r in runs:
         rows = r.get("unscaled", {})
-        floor["runs"].append({
+        entry = {
             "workload": r["workload"], "seed": r["seed"], "side": r["side"],
             "unscaled_run_s": rows.get("run_s"), "reference_scale": rows.get("reference_scale"),
-        })
+        }
+        if "sweep_call" in r:
+            entry["sweep_call"] = r["sweep_call"]
+        floor["runs"].append(entry)
     for workload in dict.fromkeys(r["workload"] for r in runs):
         for side in ("parent", "change"):
             rows = [x for x in floor["runs"]
@@ -207,13 +256,17 @@ def pass_floor(runs: List[dict]) -> dict:
             if rows:
                 scaled = [r["result"]["metrics"]["run_s"]["value"] for r in runs
                           if r["workload"] == workload and r["side"] == side and "result" in r]
-                floor[f"{workload}_{side}"] = {
+                calls = [x["sweep_call"]["scaled_call_s"] for x in rows
+                         if "scaled_call_s" in x.get("sweep_call", {})]
+                entry = floor[f"{workload}_{side}"] = {
                     "unscaled_run_s_range": [min(x["unscaled_run_s"]["q1"] for x in rows),
                                              max(x["unscaled_run_s"]["q3"] for x in rows)],
                     "reference_scale_range": [min(x["reference_scale"]["q1"] for x in rows),
                                               max(x["reference_scale"]["q3"] for x in rows)],
-                    "floor_scale": round(statistics.median(scaled) / REF_TICK, 4),
+                    "floor_scale": round(statistics.median(calls or scaled) / REF_TICK, 4),
                 }
+                if calls:
+                    entry["scaled_call_s"] = round(statistics.median(calls), 4)
     return floor
 
 
