@@ -19,15 +19,17 @@ side, ``pass_floor`` (each untraced run's unscaled pass times and reference
 scales, as ``perfbench/run.py`` prints them, and per workload and side the
 reference scale above which the median pass would end before the first
 reference tick, to set against the upper end of the scales seen),
-For ``sweep`` the floor is read from its one call instead: after each
-untraced run, a fresh interpreter in the same checkout times
-``cli.main(["--json", "verify", "9"])`` in-process between two units of that
-checkout's ``perfbench/reference.py`` (the run's whole-process ``run_s``
-also holds interpreter start and imports, which no reference tick sees).
 ``per_layer`` from the traced runs, every run's last output line under
 ``runs``, and under ``tier1`` the wall time (``tier1_s``), exit status and
 last line of one run of the tier-1 test command per side, each in its own
 fresh checkout, after the workloads.
+
+On ``sweep`` the floor is read from the pass's one call instead, since the
+run's whole-process ``run_s`` also holds interpreter start and imports,
+which no reference tick sees: after each untraced run, a fresh interpreter
+in the same checkout times ``cli.main(["--json", "verify", "9"])``
+in-process between two units of that checkout's ``perfbench/reference.py``
+(``sweep_call``).
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, wor
 def sweep_call(root: Path, env: dict) -> dict:
     """``SWEEP_PROBE`` run once in a fresh interpreter in ``root``: the call's
     wall time, exit status, reference scale and scaled time, or the failure."""
-    proc = subprocess.run([sys.executable, "-c", SWEEP_PROBE], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=RUN_TIMEOUT)
+    try:
+        proc = subprocess.run([sys.executable, "-c", SWEEP_PROBE], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=RUN_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return {"error": f"no result within {RUN_TIMEOUT} s"}
     try:
         return json.loads(proc.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
