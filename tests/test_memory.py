@@ -152,14 +152,11 @@ def test_evensets_listing_streams(flags, tmp_path):
 
 def test_class_table_is_compact():
     enumeration._connected_classes.cache_clear()
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in enumeration.enumerate_multigraphs(8, connected=True))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == 6460
-    assert peak < CLASS_BYTES * count, (peak, count)
+    counts = []
+    peak = traced_peak(lambda: counts.append(
+        sum(1 for _ in enumeration.enumerate_multigraphs(8, connected=True))))
+    assert counts == [6460]
+    assert peak < CLASS_BYTES * 6460, peak
 
 
 def test_class_table_shares_each_pair():
