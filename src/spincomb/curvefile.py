@@ -14,22 +14,29 @@ Vertex and edge indices are assigned in declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DuplicateNameError, ParseError, UnknownVertexError
-from .graphs import build_graph
+from .graphs import _set_field, _Value, build_graph
 from .spin import CurveDualGraph
 
 
-@dataclass(frozen=True)
-class CurveFile:
+class CurveFile(_Value):
     """Parsed declarations, keeping the symbolic names for display."""
 
-    vertex_names: Tuple[str, ...]
-    genus_marks: Tuple[int, ...]
-    edge_names: Tuple[str, ...]
-    edge_pairs: Tuple[Tuple[int, int], ...]
+    __slots__ = ("vertex_names", "genus_marks", "edge_names", "edge_pairs")
+
+    def __init__(
+        self,
+        vertex_names: Tuple[str, ...],
+        genus_marks: Tuple[int, ...],
+        edge_names: Tuple[str, ...],
+        edge_pairs: Tuple[Tuple[int, int], ...],
+    ) -> None:
+        _set_field(self, "vertex_names", vertex_names)
+        _set_field(self, "genus_marks", genus_marks)
+        _set_field(self, "edge_names", edge_names)
+        _set_field(self, "edge_pairs", edge_pairs)
 
     def to_dual_graph(self) -> CurveDualGraph:
         return CurveDualGraph(

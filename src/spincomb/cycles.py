@@ -12,7 +12,6 @@ classes, with a union-find that is undone as the walk leaves each subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress
 from operator import xor
@@ -24,7 +23,9 @@ from .graphs import (
     EdgeSubset,
     Multigraph,
     ZeroChain,
+    _set_field,
     _smooth,
+    _Value,
 )
 
 #: Enumerating a cycle space of dimension above this is refused.
@@ -36,13 +37,20 @@ ENUMERATION_CAP = 30
 _SUBTREE = 12
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(_Value):
     """Fundamental-cycle basis from a deterministic spanning forest."""
 
-    graph_edge_count: int
-    basis_vectors: Tuple[EdgeSubset, ...]
-    spanning_forest: EdgeSubset
+    __slots__ = ("graph_edge_count", "basis_vectors", "spanning_forest")
+
+    def __init__(
+        self,
+        graph_edge_count: int,
+        basis_vectors: Tuple[EdgeSubset, ...],
+        spanning_forest: EdgeSubset,
+    ) -> None:
+        _set_field(self, "graph_edge_count", graph_edge_count)
+        _set_field(self, "basis_vectors", basis_vectors)
+        _set_field(self, "spanning_forest", spanning_forest)
 
     @property
     def dimension(self) -> int:

@@ -40,12 +40,11 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError
-from .graphs import Multigraph, connected_components
+from .graphs import Multigraph, _set_field, _Value, connected_components
 from .transforms import Verdict, check_theorems, is_superstable
 
 Edge = Tuple[int, int]
@@ -61,20 +60,31 @@ MAX_ENUM_EDGES = 10
 _PAIRS: Dict[Edge, Edge] = {}
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Value):
     """Edge list after the canonical vertex relabeling; equal iff isomorphic."""
 
-    canonical_key: Key
+    __slots__ = ("canonical_key",)
+
+    def __init__(self, canonical_key: Key) -> None:
+        _set_field(self, "canonical_key", canonical_key)
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    graphs_examined: int
-    hypothesis_exercised: int
-    vacuous: int
-    violations: Tuple[Tuple[Key, Verdict], ...]
-    elapsed: float
+class SweepReport(_Value):
+    __slots__ = ("graphs_examined", "hypothesis_exercised", "vacuous", "violations", "elapsed")
+
+    def __init__(
+        self,
+        graphs_examined: int,
+        hypothesis_exercised: int,
+        vacuous: int,
+        violations: Tuple[Tuple[Key, Verdict], ...],
+        elapsed: float,
+    ) -> None:
+        _set_field(self, "graphs_examined", graphs_examined)
+        _set_field(self, "hypothesis_exercised", hypothesis_exercised)
+        _set_field(self, "vacuous", vacuous)
+        _set_field(self, "violations", violations)
+        _set_field(self, "elapsed", elapsed)
 
 
 def _interned(pairs: Sequence[Edge]) -> Key:

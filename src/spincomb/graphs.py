@@ -3,12 +3,15 @@
 Vertices and edges carry dense integer indices; edge subsets and vertex
 subsets are int bitmasks wrapped with an explicit width so that GF(2)
 arithmetic stays constant-time and width errors fail loudly.
+
+Every value type of the package derives from :class:`_Value`: its fields
+are its ``__slots__``, set once in ``__init__`` through :data:`_set_field`,
+and equality, hashing, ``repr`` and pickling are read from them.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -19,20 +22,64 @@ Edge = Tuple[int, int]
 #: The set bits of each byte value, lowest first: masks are read byte by byte.
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
+#: Sets a field of a :class:`_Value` in its ``__init__``, past the
+#: ``__setattr__`` that refuses every later assignment.
+_set_field = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Multigraph:
-    """An undirected multigraph; loops and parallel edges allowed.
 
-    Immutable after construction, and slotted: no instance ``__dict__``
-    and no weak references.  ``edges[i]`` is the normalized
-    (min, max) endpoint pair of edge i.  Use :func:`build_graph` for
-    validated construction; transforms may build degenerate graphs
-    (isolated vertices, even the empty graph) directly.
+class _Value:
+    """An immutable value whose fields are the names in ``__slots__``.
+
+    A subclass declares its fields as ``__slots__`` and sets each once in
+    its ``__init__`` through :data:`_set_field`.  Assigning or deleting an
+    attribute raises ``AttributeError``.  Two values are equal when they
+    have the same class and equal fields, and the hash is that of the field
+    tuple; ``repr`` reads ``Name(field=value, ...)``, and pickling and
+    copying rebuild the value through its constructor, checks included.
     """
 
-    vertex_count: int
-    edges: Tuple[Edge, ...]
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Multigraph(_Value):
+    """An undirected multigraph; loops and parallel edges allowed.
+
+    A :class:`_Value`: immutable after construction, compared and hashed by
+    its fields, with no instance ``__dict__`` and no weak references.
+    ``edges[i]`` is the normalized (min, max) endpoint pair of edge i.  Use
+    :func:`build_graph` for validated construction; transforms may build
+    degenerate graphs (isolated vertices, even the empty graph) directly.
+    """
+
+    __slots__ = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: Tuple[Edge, ...]) -> None:
+        _set_field(self, "vertex_count", vertex_count)
+        _set_field(self, "edges", edges)
 
     @property
     def edge_count(self) -> int:
@@ -48,16 +95,16 @@ class Multigraph:
         return inc
 
 
-@dataclass(frozen=True)
-class EdgeSubset:
+class EdgeSubset(_Value):
     """A set of edges as a 1-chain over GF(2); XOR is chain addition."""
 
-    bits: int
-    width: int
+    __slots__ = ("bits", "width")
 
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.width:
-            raise BadIndexError(self.bits, 1 << self.width)
+    def __init__(self, bits: int, width: int) -> None:
+        if bits < 0 or bits >> width:
+            raise BadIndexError(bits, 1 << width)
+        _set_field(self, "bits", bits)
+        _set_field(self, "width", width)
 
     @classmethod
     def empty(cls, width: int) -> "EdgeSubset":
@@ -103,12 +150,14 @@ class EdgeSubset:
         return bool(self.bits & other.bits)
 
 
-@dataclass(frozen=True)
-class ZeroChain:
+class ZeroChain(_Value):
     """A set of vertices as a 0-chain over GF(2)."""
 
-    bits: int
-    width: int
+    __slots__ = ("bits", "width")
+
+    def __init__(self, bits: int, width: int) -> None:
+        _set_field(self, "bits", bits)
+        _set_field(self, "width", width)
 
     @property
     def is_zero(self) -> bool:

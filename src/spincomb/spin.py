@@ -9,17 +9,23 @@ Python's unbounded integers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .cycles import _betti_sets, betti_profile, cyclic_betti_set, cyclic_sets, is_cyclic
 from .errors import InternalLengthMismatchError, NotEvenError, PreconditionFailedError
-from .graphs import EdgeSubset, Multigraph, _valencies, connected_components, subset_betti
+from .graphs import (
+    EdgeSubset,
+    Multigraph,
+    _set_field,
+    _valencies,
+    _Value,
+    connected_components,
+    subset_betti,
+)
 from .transforms import Verdict, check_theorems, classify, is_superstable
 
 
-@dataclass(frozen=True)
-class CurveDualGraph:
+class CurveDualGraph(_Value):
     """Dual graph of a stable curve with per-component genus marks.
 
     The graph must be connected.  Stability of the curve (every genus-0
@@ -27,19 +33,19 @@ class CurveDualGraph:
     :meth:`stability_violations`, construction never enforces it.
     """
 
-    graph: Multigraph
-    genus_marks: Tuple[int, ...]
+    __slots__ = ("graph", "genus_marks")
 
-    def __post_init__(self):
-        if len(self.genus_marks) != self.graph.vertex_count:
+    def __init__(self, graph: Multigraph, genus_marks: Tuple[int, ...]) -> None:
+        if len(genus_marks) != graph.vertex_count:
             raise ValueError(
-                f"{len(self.genus_marks)} genus marks for "
-                f"{self.graph.vertex_count} vertices"
+                f"{len(genus_marks)} genus marks for {graph.vertex_count} vertices"
             )
-        if any(m < 0 for m in self.genus_marks):
+        if any(m < 0 for m in genus_marks):
             raise ValueError("genus marks must be nonnegative")
-        if len(connected_components(self.graph)) != 1:
+        if len(connected_components(graph)) != 1:
             raise ValueError("dual graph of a stable curve must be connected")
+        _set_field(self, "graph", graph)
+        _set_field(self, "genus_marks", genus_marks)
 
     def stability_violations(self) -> List[int]:
         """Vertices with genus mark 0 and fewer than 3 nodes."""
@@ -47,31 +53,68 @@ class CurveDualGraph:
         return [v for v, d in enumerate(val) if self.genus_marks[v] == 0 and d < 3]
 
 
-@dataclass(frozen=True)
-class SpinReport:
+class SpinReport(_Value):
     """Exact numerics of the zero-dimensional scheme of spin curves."""
 
-    b: int
-    p: int
-    genus: int
-    even_set_count: int
-    component_count: int
-    #: exponent n -> number of components of multiplicity 2^n
-    multiplicity_multiset: Dict[int, int]
-    multiplicity_set_exponents: frozenset
-    length: int
+    __slots__ = (
+        "b",
+        "p",
+        "genus",
+        "even_set_count",
+        "component_count",
+        "multiplicity_multiset",
+        "multiplicity_set_exponents",
+        "length",
+    )
+
+    def __init__(
+        self,
+        b: int,
+        p: int,
+        genus: int,
+        even_set_count: int,
+        component_count: int,
+        multiplicity_multiset: Dict[int, int],  # exponent n -> components of multiplicity 2^n
+        multiplicity_set_exponents: frozenset,
+        length: int,
+    ) -> None:
+        _set_field(self, "b", b)
+        _set_field(self, "p", p)
+        _set_field(self, "genus", genus)
+        _set_field(self, "even_set_count", even_set_count)
+        _set_field(self, "component_count", component_count)
+        _set_field(self, "multiplicity_multiset", multiplicity_multiset)
+        _set_field(self, "multiplicity_set_exponents", multiplicity_set_exponents)
+        _set_field(self, "length", length)
 
 
-@dataclass(frozen=True)
-class SupportDescription:
+class SupportDescription(_Value):
     """The quasistable support associated with one even set of nodes."""
 
-    even_set: EdgeSubset
-    blown_up_nodes: EdgeSubset  # complement: nodes replaced by exceptional lines
-    exceptional_count: int
-    gluing_dimension: int  # b1 of the even set
-    point_count: int  # 2^(2p) * 2^(b1 of the even set)
-    multiplicity_exponent: int  # b - b1 of the even set
+    __slots__ = (
+        "even_set",
+        "blown_up_nodes",
+        "exceptional_count",
+        "gluing_dimension",
+        "point_count",
+        "multiplicity_exponent",
+    )
+
+    def __init__(
+        self,
+        even_set: EdgeSubset,
+        blown_up_nodes: EdgeSubset,  # complement: nodes replaced by exceptional lines
+        exceptional_count: int,
+        gluing_dimension: int,  # b1 of the even set
+        point_count: int,  # 2^(2p) * 2^(b1 of the even set)
+        multiplicity_exponent: int,  # b - b1 of the even set
+    ) -> None:
+        _set_field(self, "even_set", even_set)
+        _set_field(self, "blown_up_nodes", blown_up_nodes)
+        _set_field(self, "exceptional_count", exceptional_count)
+        _set_field(self, "gluing_dimension", gluing_dimension)
+        _set_field(self, "point_count", point_count)
+        _set_field(self, "multiplicity_exponent", multiplicity_exponent)
 
 
 def _betti(x: CurveDualGraph) -> int:

@@ -21,7 +21,6 @@ order) and at random ones (``random_order_reduction``: up to isomorphism).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cycles import betti_profile
@@ -37,15 +36,16 @@ from .graphs import (
     EdgeSubset,
     Multigraph,
     _lowpoint_dfs,
+    _set_field,
     _smooth,
     _valencies,
+    _Value,
     separating_edges,
     valency,
 )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Result of a classifier or theorem check.
 
     ``hypothesis_exercised`` distinguishes a genuinely verified conclusion
@@ -53,10 +53,19 @@ class Verdict:
     the hypothesis failed, when one is relevant.
     """
 
-    holds: bool
-    classification: str  # split | loop | tetrahedron | fat_triangle | other
-    witness: Optional[EdgeSubset] = None
-    hypothesis_exercised: bool = False
+    __slots__ = ("holds", "classification", "witness", "hypothesis_exercised")
+
+    def __init__(
+        self,
+        holds: bool,
+        classification: str,  # split | loop | tetrahedron | fat_triangle | other
+        witness: Optional[EdgeSubset] = None,
+        hypothesis_exercised: bool = False,
+    ) -> None:
+        _set_field(self, "holds", holds)
+        _set_field(self, "classification", classification)
+        _set_field(self, "witness", witness)
+        _set_field(self, "hypothesis_exercised", hypothesis_exercised)
 
 
 def _drop_vertex(

@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import random
 import time
@@ -72,8 +71,8 @@ class TestBuildGraph:
 
 
 class TestMultigraphValue:
-    """A slotted frozen dataclass: a value, with no instance dict and no
-    weak references."""
+    """A slotted immutable value, with no instance dict and no weak
+    references."""
 
     def test_hashable_and_equal_by_value(self):
         g = build_graph(3, [(1, 0), (1, 2), (2, 2)])
@@ -83,11 +82,9 @@ class TestMultigraphValue:
 
     def test_frozen_and_slotted(self):
         g = tetrahedron()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             g.vertex_count = 5
-        # a name that is no field has no slot; Python 3.11's frozen
-        # __setattr__ raises TypeError for it on a slotted class
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        with pytest.raises(AttributeError):
             g.label = "K4"
         assert not hasattr(g, "label") and not hasattr(g, "__dict__")
         with pytest.raises(TypeError):
@@ -95,7 +92,7 @@ class TestMultigraphValue:
 
     def test_replace_and_pickle(self):
         g = fat_triangle()
-        grown = dataclasses.replace(g, vertex_count=4, edges=g.edges + ((2, 3),))
+        grown = Multigraph(4, g.edges + ((2, 3),))
         assert grown == build_graph(4, list(g.edges) + [(2, 3)])
         assert g == fat_triangle()
         copy = pickle.loads(pickle.dumps(g))

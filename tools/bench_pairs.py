@@ -22,7 +22,13 @@ reference tick, to set against the upper end of the scales seen),
 ``per_layer`` from the traced runs, every run's last output line under
 ``runs``, and under ``tier1`` the wall time (``tier1_s``), exit status and
 last line of one run of the tier-1 test command per side, each in its own
-fresh checkout, after the workloads.
+fresh checkout, after the workloads.  Under ``imports``, per side, where the
+import time goes: ``python -X importtime -c "import spincomb, spincomb.cli"``
+run ``IMPORT_RUNS`` times in a fresh checkout, as perfbench times
+``setup_s``, with the median self and cumulative microseconds of each
+``spincomb`` module and of ``IMPORT_MODULES`` (null where the import does
+not load it), and of the whole import (``total_us``, the top-level
+``spincomb`` entries).
 
 On ``sweep`` the floor is read from the pass's one call instead, since the
 run's whole-process ``run_s`` also holds interpreter start and imports,
@@ -48,6 +54,8 @@ from typing import Dict, List, Optional
 
 RUN_TIMEOUT = 300  # seconds; perfbench ends a run by itself within 180
 REF_TICK = 0.5  # seconds to the first reference unit of an untraced pass (REF_INTERVAL)
+IMPORT_RUNS = 15
+IMPORT_MODULES = ("dataclasses", "argparse", "json")
 
 #: The sweep pass's one call as perfbench/worker.py makes it, timed at
 #: reference speed: ``reference.scale`` of the two units around it.
@@ -163,6 +171,42 @@ def tier1(rev: str, work: Path) -> dict:
     lines = proc.stdout.strip().splitlines()
     return {**out, "tier1_s": round(elapsed, 2), "exit": proc.returncode,
             "last_line": lines[-1] if lines else ""}
+
+
+def import_times(rev: str, work: Path) -> dict:
+    """``-X importtime`` of the ``setup_s`` import, ``IMPORT_RUNS`` times in
+    one fresh checkout of ``rev``: median self and cumulative us per module."""
+    root = work / f"{rev[:12]}-imports"
+    checkout(rev, root)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, "-X", "importtime", "-c", "import spincomb, spincomb.cli"]
+    samples: Dict[str, List[tuple]] = {}
+    totals = []
+    try:
+        for _ in range(IMPORT_RUNS):
+            proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
+                                  timeout=RUN_TIMEOUT, check=True)
+            total = 0
+            for line in proc.stderr.splitlines():
+                if not line.startswith("import time:") or "[us]" in line:
+                    continue
+                own, cumulative, name = line[len("import time:"):].split("|")
+                module = name.strip()
+                top = name[1:] == module  # no indent: imported by the command itself
+                if top and module.startswith("spincomb"):
+                    total += int(cumulative)
+                if module.startswith("spincomb") or module in IMPORT_MODULES:
+                    samples.setdefault(module, []).append((int(own), int(cumulative)))
+            totals.append(total)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    modules = {name: None for name in IMPORT_MODULES}
+    for name, rows in sorted(samples.items()):
+        modules[name] = {"self_us": statistics.median(r[0] for r in rows),
+                         "cumulative_us": statistics.median(r[1] for r in rows)}
+    return {"command": "PYTHONPATH=src " + " ".join(["python", *argv[1:3]])
+            + ' -c "import spincomb, spincomb.cli"',
+            "runs": IMPORT_RUNS, "total_us": statistics.median(totals), "modules": modules}
 
 
 def paired(revs: Dict[str, str], workload: str, seeds: List[int], seconds: float, trace: int,
@@ -316,6 +360,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             runs += paired(revs, workload, seeds, args.seconds, 0, Path(tmp))
             traced += paired(revs, workload, args.trace_seeds, args.seconds, 1, Path(tmp))
         tests = {side: tier1(rev, Path(tmp)) for side, rev in revs.items()}
+        imports = {side: import_times(rev, Path(tmp)) for side, rev in revs.items()}
     report = {
         "command": "python3 perfbench/run.py --workload W --seed N "
                    f"--seconds {args.seconds:g} --trace 0",
@@ -335,6 +380,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "notes": args.note,
         "runs": runs,
         "tier1": tests,
+        "imports": imports,
     }
     if traced:
         report["per_layer"] = {
