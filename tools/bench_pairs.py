@@ -56,6 +56,7 @@ RUN_TIMEOUT = 300  # seconds; perfbench ends a run by itself within 180
 REF_TICK = 0.5  # seconds to the first reference unit of an untraced pass (REF_INTERVAL)
 IMPORT_RUNS = 15
 IMPORT_MODULES = ("dataclasses", "argparse", "json")
+IMPORT_CODE = "import spincomb, spincomb.cli"  # what perfbench times as setup_s
 
 #: The sweep pass's one call as perfbench/worker.py makes it, timed at
 #: reference speed: ``reference.scale`` of the two units around it.
@@ -175,11 +176,14 @@ def tier1(rev: str, work: Path) -> dict:
 
 def import_times(rev: str, work: Path) -> dict:
     """``-X importtime`` of the ``setup_s`` import, ``IMPORT_RUNS`` times in
-    one fresh checkout of ``rev``: median self and cumulative us per module."""
+    one fresh checkout of ``rev``: median self and cumulative us per module,
+    or the failure."""
     root = work / f"{rev[:12]}-imports"
     checkout(rev, root)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(root / "src"))
-    argv = [sys.executable, "-X", "importtime", "-c", "import spincomb, spincomb.cli"]
+    argv = [sys.executable, "-X", "importtime", "-c", IMPORT_CODE]
+    out = {"command": f'PYTHONPATH=src python -X importtime -c "{IMPORT_CODE}"',
+           "runs": IMPORT_RUNS}
     samples: Dict[str, List[tuple]] = {}
     totals = []
     try:
@@ -198,15 +202,17 @@ def import_times(rev: str, work: Path) -> dict:
                 if module.startswith("spincomb") or module in IMPORT_MODULES:
                     samples.setdefault(module, []).append((int(own), int(cumulative)))
             totals.append(total)
+    except subprocess.TimeoutExpired:
+        return {**out, "error": f"no result within {RUN_TIMEOUT} s"}
+    except subprocess.CalledProcessError as exc:
+        return {**out, "error": f"exit {exc.returncode}: {exc.stderr.strip()[-300:]}"}
     finally:
         shutil.rmtree(root, ignore_errors=True)
     modules = {name: None for name in IMPORT_MODULES}
     for name, rows in sorted(samples.items()):
         modules[name] = {"self_us": statistics.median(r[0] for r in rows),
                          "cumulative_us": statistics.median(r[1] for r in rows)}
-    return {"command": "PYTHONPATH=src " + " ".join(["python", *argv[1:3]])
-            + ' -c "import spincomb, spincomb.cli"',
-            "runs": IMPORT_RUNS, "total_us": statistics.median(totals), "modules": modules}
+    return {**out, "total_us": statistics.median(totals), "modules": modules}
 
 
 def paired(revs: Dict[str, str], workload: str, seeds: List[int], seconds: float, trace: int,
