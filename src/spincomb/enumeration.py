@@ -9,10 +9,11 @@ minimal edge key over its discrete leaves (see :func:`_canonical_connected`).
 
 Connected classes grow one edge at a time from the single vertex, and each
 build is cached per (max_edges, superstable).  When only superstable
-classes with at most D edges are wanted, a class with delta edges is
-dropped before canonicalization once its valency deficit (see
-:func:`_deficit`) exceeds 2 * (D - delta): one more edge lowers the deficit
-by at most 2, so it could no longer reach 0.  Nothing superstable is lost.
+classes with at most D edges are wanted, a class with delta edges is never
+built once its valency deficit (see :func:`_deficit`) exceeds
+2 * (D - delta): one more edge lowers the deficit by at most 2, so it could
+no longer reach 0.  :func:`_grow` reads that deficit off the parent's
+valencies before the child exists.  Nothing superstable is lost.
 Every connected graph H with at least two edges loses one edge, and stays
 connected, by dropping a non-bridge edge or a pendant edge with its leaf,
 and that raises the deficit by at most 2; so each superstable class keeps a
@@ -28,24 +29,28 @@ one, since refinement on a long cycle grows with the cube of its length.
 Every class is yielded as its canonical form:
 ``g.edges == canonical_form(g).canonical_key``.
 
-The class table is compact.  Every key the labelling, the augmentation and
-the join of components build holds the one interned tuple of each vertex
+The class table is compact.  Every key the enumerator keeps and every key
+:func:`canonical_form` returns holds the one interned tuple of each vertex
 pair (:func:`_interned`), not a tuple per edge, so a key costs a pointer per
-edge.  A build is cached in the order the connected classes are yielded,
-and a connected enumeration yields those cached objects: each class exists
-once, and a one-component key is never rebuilt.
+edge.  The labelling interns nothing: :func:`_grow` interns a key only when
+it is new to its level, :func:`_join` a union of components, and
+:func:`canonical_form` a one-component key.  A build is cached in the order
+the connected classes are yielded, and a connected enumeration yields those
+cached objects: each class exists once, and a one-component key is never
+rebuilt.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import time
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import TooLargeError
 from .graphs import Multigraph, _set_field, _Value, connected_components
-from .transforms import Verdict, check_theorems, is_superstable
+from .transforms import Verdict, check_theorems
 
 Edge = Tuple[int, int]
 Key = Tuple[Edge, ...]
@@ -111,7 +116,7 @@ def _refine(colors: List, nb: List[List[int]]) -> List[int]:
         k = len(rank)
 
 
-def _canonical_connected(n: int, edges: List[Edge]) -> Key:
+def _canonical_connected(n: int, edges: Sequence[Edge]) -> Key:
     """Minimal edge key over the leaves of an individualization-refinement
     search (McKay & Piperno, J. Symb. Comput. 2014).
 
@@ -122,7 +127,7 @@ def _canonical_connected(n: int, edges: List[Edge]) -> Key:
     one cell shares its loop count, so twins need only equal neighbours once
     each other is removed.  Swapping twins is an automorphism fixing the
     node, so their subtrees hold the same keys.  The minimal key is
-    returned with its pairs interned.
+    returned as labelled, not interned: the caller interns the one it keeps.
     """
     nb: List[List[int]] = [[] for _ in range(n)]
     loops = [0] * n
@@ -161,14 +166,15 @@ def _canonical_connected(n: int, edges: List[Edge]) -> Key:
             split = [2 * c + (c == target) for c in colors]
             split[v] -= 1
             stack.append(_refine(split, nb))
-    return _interned(best)
+    return best
 
 
 def canonical_form(g: Multigraph) -> CanonicalForm:
     """Canonical key of a multigraph, computed componentwise.
 
     Components are canonicalized independently, ordered by
-    (vertex count, edge count, key), and concatenated with vertex offsets.
+    (vertex count, edge count, key), and concatenated with vertex offsets;
+    the key holds the interned pair tuples (:func:`_interned`).
     A component with more than ``MAX_ENUM_EDGES + 1`` vertices, the largest
     tree the enumerator builds, raises TooLargeError before any is labelled.
     """
@@ -186,12 +192,12 @@ def canonical_form(g: Multigraph) -> CanonicalForm:
     for a, b in g.edges:
         c, i = where[a]
         sub_edges[c].append((i, where[b][1]))
-    return CanonicalForm(
-        _join([
-            (len(block), len(sub), _canonical_connected(len(block), sub))
-            for block, sub in zip(blocks, sub_edges)
-        ])
-    )
+    pieces = [
+        (len(block), len(sub), _canonical_connected(len(block), sub))
+        for block, sub in zip(blocks, sub_edges)
+    ]
+    # _join returns one piece as it is given, and the labelling interns nothing
+    return CanonicalForm(_interned(pieces[0][2]) if len(pieces) == 1 else _join(pieces))
 
 
 def _join(pieces: List[Tuple[int, int, Key]]) -> Key:
@@ -223,19 +229,39 @@ def _deficit(n: int, edges: Key) -> int:
 def _grow(level: Dict[Key, int], budget: Optional[int]) -> Dict[Key, int]:
     """Canonical keys, with their vertex counts, of the connected graphs one
     edge larger than a class of ``level`` (key -> vertex count): an edge
-    between two vertices, a loop, or a pendant edge to a new vertex.  A child
-    whose deficit exceeds ``budget`` (None: no budget) is dropped before it
-    is canonicalized."""
+    between two vertices, a loop, or a pendant edge to a new vertex.
+
+    Each child's deficit is read from its parent's valencies: an edge
+    between two vertices lowers it by 1 at each endpoint of valency below
+    3, a loop by the endpoint's gap to 3 up to 2, and a pendant edge by 1 at
+    its old endpoint, adding 2 for the new leaf; the single loop counts 0,
+    as in :func:`_deficit`.  A child whose deficit exceeds ``budget`` (None:
+    no budget) is never built, and a key is interned only when it is new.
+    """
+    limit = math.inf if budget is None else budget
     nxt: Dict[Key, int] = {}
     for key, n in level.items():
-        children = []
+        val = [0] * n
+        for a, b in key:
+            val[a] += 1
+            val[b] += 1
+        short = [d < 3 for d in val]
+        total = sum(3 - d for d in val if d < 3)
         for u in range(n):
-            for v in range(u, n):
-                children.append((n, key + ((u, v),)))
-            children.append((n + 1, key + ((u, n),)))
-        for cn, child in children:
-            if budget is None or _deficit(cn, child) <= budget:
-                nxt.setdefault(_canonical_connected(cn, list(child)), cn)
+            gap = 3 - val[u] if short[u] else 0
+            head = total - short[u]  # the edge's end at u counted
+            for v in range(u, n + 1):
+                if v == n:  # a pendant edge to a new leaf
+                    deficit = head + 2
+                elif v == u:
+                    deficit = total - min(gap, 2) if key else 0
+                else:
+                    deficit = head - short[v]
+                if deficit <= limit:
+                    cn = n + (v == n)
+                    canon = _canonical_connected(cn, key + ((u, v),))
+                    if canon not in nxt:
+                        nxt[_interned(canon)] = cn
     return nxt
 
 
@@ -280,7 +306,7 @@ def _classes(max_edges: int, connected: bool, superstable: bool) -> Iterator[Mul
     them as the (vertex count, edge count, key) of its union."""
     comps = _connected_classes(max_edges, superstable)
     if superstable:
-        comps = [c for c in comps if is_superstable(c)]
+        comps = [c for c in comps if not _deficit(c.vertex_count, c.edges)]
     if connected:
         yield from comps
         return

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BadIndexError, IsolatedVertexError, WidthMismatchError
@@ -40,8 +41,17 @@ class _Value:
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __init_subclass__(cls, **kwargs):
+        """Give the subclass ``_fields``, which maps a value to its field
+        tuple through one ``attrgetter``, built once from ``__slots__``."""
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:  # attrgetter of one name returns the bare value
+
+            def get(value, one=get):
+                return (one(value),)
+
+        cls._fields = staticmethod(get)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -52,17 +62,18 @@ class _Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        fields = self._fields
+        return fields(self) == fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, self._fields()
+        return self.__class__, self._fields(self)
 
 
 class Multigraph(_Value):

@@ -559,6 +559,16 @@ def _deficit_oracle(g):
     return sum(max(0, 3 - d) for d in val)
 
 
+def _every_child(level):
+    """Every graph one edge larger than a class of ``level`` (key -> vertex
+    count), built: an edge between two of its vertices, a loop, or a
+    pendant edge to a new vertex."""
+    for key, n in level.items():
+        for u in range(n):
+            for v in range(u, n + 1):
+                yield Multigraph(max(n, v + 1), key + ((u, v),))
+
+
 class TestDeficitPruning:
     @pytest.mark.parametrize("max_edges", range(1, 9))
     @pytest.mark.parametrize("connected", [True, False])
@@ -588,6 +598,40 @@ class TestDeficitPruning:
         assert counts == {"pruned": 326, "full": 1681}
         candidates = [len(enumeration._connected_classes(7, s)) for s in (True, False)]
         assert candidates == [329, 1681]
+
+    def test_grow_equals_brute_force(self):
+        """On every level of the 7-edge general build and for every budget,
+        ``_grow`` keeps exactly what building every child, filtering it by
+        the oracle deficit and canonicalizing it keeps."""
+        level = {(): 1}
+        for _ in range(7):
+            children = [
+                (_deficit_oracle(g), canonical_form(g).canonical_key, g.vertex_count)
+                for g in _every_child(level)
+            ]
+            for budget in [None, *range(7)]:
+                expected = {}
+                for deficit, key, n in children:
+                    if budget is None or deficit <= budget:
+                        expected.setdefault(key, n)
+                assert enumeration._grow(level, budget) == expected, budget
+            level = enumeration._grow(level, None)
+        assert len(level) == 1681 - 470
+
+    def test_labels_only_kept_children_and_interns_each_class_once(self, monkeypatch):
+        """The pruned 9-edge build labels the 16,074 children its budgets
+        keep, none of those they drop, and interns one key per class."""
+        calls = dict.fromkeys(["_canonical_connected", "_interned"], 0)
+        for name in calls:
+            def counted(*args, name=name, real=getattr(enumeration, name)):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        enumeration._connected_classes.cache_clear()
+        classes = enumeration._connected_classes(9, True)
+        assert calls == {"_canonical_connected": 16074, "_interned": len(classes)}
+        assert len(classes) == 3460
 
     def test_deficit(self):
         for g in (loop_graph(), tetrahedron(), fat_triangle(), split_graph(3)):

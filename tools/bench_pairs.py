@@ -32,10 +32,11 @@ not load it), and of the whole import (``total_us``, the top-level
 
 On ``sweep`` the floor is read from the pass's one call instead, since the
 run's whole-process ``run_s`` also holds interpreter start and imports,
-which no reference tick sees: after each untraced run, a fresh interpreter
-in the same checkout times ``cli.main(["--json", "verify", "9"])``
-in-process between two units of that checkout's ``perfbench/reference.py``
-(``sweep_call``).
+which no reference tick sees: after each untraced run, ``SWEEP_PROBES``
+fresh interpreters in turn, in the same checkout, each time
+``cli.main(["--json", "verify", "9"])`` in-process between two units of
+that checkout's ``perfbench/reference.py`` (``sweep_call``, with the median
+scaled call of the run's probes).
 """
 
 from __future__ import annotations
@@ -55,8 +56,12 @@ from typing import Dict, List, Optional
 RUN_TIMEOUT = 300  # seconds; perfbench ends a run by itself within 180
 REF_TICK = 0.5  # seconds to the first reference unit of an untraced pass (REF_INTERVAL)
 IMPORT_RUNS = 15
-IMPORT_MODULES = ("dataclasses", "argparse", "json")
+IMPORT_MODULES = ("argparse", "json")
 IMPORT_CODE = "import spincomb, spincomb.cli"  # what perfbench times as setup_s
+
+#: Probes per untraced sweep run: one probe's reference scale swings too
+#: widely to resolve a change of a few percent in the call.
+SWEEP_PROBES = 5
 
 #: The sweep pass's one call as perfbench/worker.py makes it, timed at
 #: reference speed: ``reference.scale`` of the two units around it.
@@ -137,18 +142,24 @@ def run_once(rev: str, workload: str, seed: int, seconds: float, trace: int, wor
 
 
 def sweep_call(root: Path, env: dict) -> dict:
-    """``SWEEP_PROBE`` run once in a fresh interpreter in ``root``: the call's
-    wall time, exit status, reference scale and scaled time, or the failure."""
-    try:
-        proc = subprocess.run([sys.executable, "-c", SWEEP_PROBE], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=RUN_TIMEOUT)
-    except subprocess.TimeoutExpired:
-        return {"error": f"no result within {RUN_TIMEOUT} s"}
-    try:
-        return json.loads(proc.stdout.strip().splitlines()[-1])
-    except (IndexError, ValueError):
-        tail = proc.stderr.strip().splitlines()[-3:]
-        return {"error": f"exit {proc.returncode}: " + " | ".join(tail)}
+    """``SWEEP_PROBE`` run ``SWEEP_PROBES`` times in ``root``, each in a fresh
+    interpreter, so each builds the class table cold, as a ``sweep`` pass
+    does: every probe's wall time, exit status, reference scale and scaled
+    time, and the median scaled time; or the first failure."""
+    probes = []
+    for _ in range(SWEEP_PROBES):
+        try:
+            proc = subprocess.run([sys.executable, "-c", SWEEP_PROBE], cwd=root, env=env,
+                                  capture_output=True, text=True, timeout=RUN_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return {"error": f"no result within {RUN_TIMEOUT} s"}
+        try:
+            probes.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        except (IndexError, ValueError):
+            tail = proc.stderr.strip().splitlines()[-3:]
+            return {"error": f"exit {proc.returncode}: " + " | ".join(tail)}
+    return {"scaled_call_s": statistics.median(p["scaled_call_s"] for p in probes),
+            "probes": probes}
 
 
 def tier1(rev: str, work: Path) -> dict:
@@ -290,9 +301,11 @@ def pass_floor(runs: List[dict]) -> dict:
                 "the largest third quartile of any run's reference scale. On sweep, whose "
                 "run_s is a whole process, interpreter start and imports included, the "
                 "ticks see only its one call: sweep_call is that call (verify 9) timed "
-                "in-process in a fresh interpreter of the run's checkout after the run, "
-                "scaled by the reference units just before and after it, and floor_scale "
-                "is the median scaled_call_s over 0.5 s",
+                f"in-process in each of {SWEEP_PROBES} fresh interpreters of the run's "
+                "checkout after the run, each probe scaled by the reference units just "
+                "before and after it, with the median scaled_call_s of the run's probes; "
+                "per side, scaled_call_s is the median over all probes of its runs and "
+                "floor_scale that median over 0.5 s",
         "runs": [],
     }
     for r in runs:
@@ -311,8 +324,8 @@ def pass_floor(runs: List[dict]) -> dict:
             if rows:
                 scaled = [r["result"]["metrics"]["run_s"]["value"] for r in runs
                           if r["workload"] == workload and r["side"] == side and "result" in r]
-                calls = [x["sweep_call"]["scaled_call_s"] for x in rows
-                         if "scaled_call_s" in x.get("sweep_call", {})]
+                calls = [p["scaled_call_s"] for x in rows
+                         for p in x.get("sweep_call", {}).get("probes", [])]
                 entry = floor[f"{workload}_{side}"] = {
                     "unscaled_run_s_range": [min(x["unscaled_run_s"]["q1"] for x in rows),
                                              max(x["unscaled_run_s"]["q3"] for x in rows)],
