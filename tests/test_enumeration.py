@@ -616,7 +616,7 @@ class TestDeficitPruning:
                         expected.setdefault(key, n)
                 assert enumeration._grow(level, budget) == expected, budget
             level = enumeration._grow(level, None)
-        assert len(level) == 1681 - 470
+        assert len(level) == 1211  # connected classes with exactly 7 edges, A050535
 
     def test_labels_only_kept_children_and_interns_each_class_once(self, monkeypatch):
         """The pruned 9-edge build labels the 16,074 children its budgets
