@@ -13,7 +13,7 @@ import sys
 
 from spincomb import (
     betti_number,
-    check_theorem2,
+    check_theorems,
     classify,
     cyclic_betti_set,
     enumerate_multigraphs,
@@ -31,7 +31,7 @@ for name, report in zip(("first", "second"), sweep_theorems(max_edges)):
 
 print("\nclasses that exercise the first theorem's hypothesis (2 not in B):")
 for g in enumerate_multigraphs(max_edges, connected=True, superstable=True):
-    v = check_theorem2(g)
+    v = check_theorems(g)[0]
     if v.hypothesis_exercised:
         print(
             f"  nu={g.vertex_count} delta={g.edge_count} b1={betti_number(g)} "

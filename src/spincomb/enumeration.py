@@ -27,7 +27,7 @@ they admit.  The largest component the enumerator labels is a tree with
 MAX_ENUM_EDGES + 1 vertices, and :func:`canonical_form` refuses a larger
 one, since refinement on a long cycle grows with the cube of its length.
 Every class is yielded as its canonical form:
-``g.edges == canonical_form(g).canonical_key``.
+``g.edges == canonical_form(g)``.
 
 The class table is compact.  Every key the enumerator keeps and every key
 :func:`canonical_form` returns holds the one interned tuple of each vertex
@@ -63,15 +63,6 @@ MAX_ENUM_EDGES = 10
 #: MAX_ENUM_EDGES + 1 vertices, so the table holds at most that many pairs
 #: per vertex of the largest graph labelled.
 _PAIRS: Dict[Edge, Edge] = {}
-
-
-class CanonicalForm(_Value):
-    """Edge list after the canonical vertex relabeling; equal iff isomorphic."""
-
-    __slots__ = ("canonical_key",)
-
-    def __init__(self, canonical_key: Key) -> None:
-        _set_field(self, "canonical_key", canonical_key)
 
 
 class SweepReport(_Value):
@@ -169,8 +160,11 @@ def _canonical_connected(n: int, edges: Sequence[Edge]) -> Key:
     return best
 
 
-def canonical_form(g: Multigraph) -> CanonicalForm:
-    """Canonical key of a multigraph, computed componentwise.
+def canonical_form(g: Multigraph) -> Key:
+    """Canonical key (edge list) of a multigraph, computed componentwise.
+    Two keys are equal exactly when the graphs are isomorphic and have the
+    same vertex count, which the key omits: ``Multigraph(0, ())`` and
+    ``Multigraph(1, ())`` both give ``()``.
 
     Components are canonicalized independently, ordered by
     (vertex count, edge count, key), and concatenated with vertex offsets;
@@ -197,7 +191,7 @@ def canonical_form(g: Multigraph) -> CanonicalForm:
         for block, sub in zip(blocks, sub_edges)
     ]
     # _join returns one piece as it is given, and the labelling interns nothing
-    return CanonicalForm(_interned(pieces[0][2]) if len(pieces) == 1 else _join(pieces))
+    return _interned(pieces[0][2]) if len(pieces) == 1 else _join(pieces)
 
 
 def _join(pieces: List[Tuple[int, int, Key]]) -> Key:
@@ -290,12 +284,12 @@ def enumerate_multigraphs(
     """The canonical form of every isomorphism class with at most max_edges
     edges, in the order (vertex count, edge count, canonical key).
 
-    max_edges must be in 1..MAX_ENUM_EDGES; any other bound raises
+    max_edges must be an int in 1..MAX_ENUM_EDGES; any other bound raises
     TooLargeError on the call, before anything is built.  The classes are
     built on the first ``next()``.  With ``superstable`` only the classes
     that can still become superstable within max_edges are grown.
     """
-    if not 1 <= max_edges <= MAX_ENUM_EDGES:
+    if not (isinstance(max_edges, int) and 1 <= max_edges <= MAX_ENUM_EDGES):
         raise TooLargeError(f"max_edges must be in 1..{MAX_ENUM_EDGES}")
     return _classes(max_edges, connected, superstable)
 
@@ -345,8 +339,8 @@ def sweep_theorems(max_edges: int) -> Tuple[SweepReport, SweepReport]:
     Each class gets one betti_profile and one classify, shared by the
     theorem 2 and theorem 3 verdicts.  Both reports carry the elapsed time
     of the whole pass, enumeration included.  max_edges must be a bound
-    that ``enumerate_multigraphs(max_edges, superstable=True)`` admits,
-    1..MAX_ENUM_EDGES; that call raises TooLargeError on any other.
+    that ``enumerate_multigraphs(max_edges, superstable=True)`` admits, an
+    int in 1..MAX_ENUM_EDGES; that call raises TooLargeError on any other.
     """
     start = time.perf_counter()
     examined = 0
@@ -371,12 +365,3 @@ def sweep_theorems(max_edges: int) -> Tuple[SweepReport, SweepReport]:
         for i in range(2)
     )
 
-
-def sweep_theorem2(max_edges: int) -> SweepReport:
-    """Check the omit-2 classification on every superstable class."""
-    return sweep_theorems(max_edges)[0]
-
-
-def sweep_theorem3(max_edges: int) -> SweepReport:
-    """Check the omit-3 / exceed-3 classification on every superstable class."""
-    return sweep_theorems(max_edges)[1]

@@ -45,13 +45,7 @@ class _Value:
         """Give the subclass ``_fields``, which maps a value to its field
         tuple through one ``attrgetter``, built once from ``__slots__``."""
         super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls.__slots__)
-        if len(cls.__slots__) == 1:  # attrgetter of one name returns the bare value
-
-            def get(value, one=get):
-                return (one(value),)
-
-        cls._fields = staticmethod(get)
+        cls._fields = staticmethod(attrgetter(*cls.__slots__))  # 2+ fields, so a tuple
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

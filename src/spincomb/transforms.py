@@ -6,8 +6,7 @@ lists; the tests check them against a search over all vertex permutations
 (the oracle ``are_isomorphic`` in ``tests/conftest.py``).  The rules of
 both theorems live in ``_theorems`` alone, which reads a graph's
 ``betti_profile`` and class; :func:`check_theorems` adds the superstable
-precondition and the pass, and :func:`check_theorem2` and
-:func:`check_theorem3` read one verdict each from it.
+precondition and the pass.
 
 :func:`eliminate_valency1`, :func:`smooth_valency2` and
 :func:`contract_separating_edge` are the single-step operations; each
@@ -128,10 +127,11 @@ def contract_separating_edge(g: Multigraph, e: int) -> Multigraph:
 
 
 def is_superstable(g: Multigraph) -> bool:
-    """All valencies at least 3, except that a vertex carrying exactly one
-    loop and nothing else is allowed."""
+    """At least one vertex, and all valencies at least 3, except that a
+    vertex carrying exactly one loop and nothing else is allowed.  A graph
+    with no vertex has no component, so it is no curve's dual graph."""
     val, loop = _valencies(g)
-    return all(d >= 3 or (d == 2 and loop[v]) for v, d in enumerate(val))
+    return bool(val) and all(d >= 3 or (d == 2 and loop[v]) for v, d in enumerate(val))
 
 
 def superstable_reduction(g: Multigraph) -> Multigraph:
@@ -197,25 +197,14 @@ def classify(g: Multigraph) -> str:
     return "other"
 
 
-def check_theorem2(g: Multigraph) -> Verdict:
-    """Classification of superstable graphs whose cyclic Betti numbers omit 2.
-
-    Such a graph must be split, a loop (b1 = 1), or the tetrahedron
-    (b1 = 3).  When 2 does occur, the verdict is vacuously true and the
-    first cyclic set of Betti number 2 is attached as witness.
-    """
-    return check_theorems(g)[0]
-
-
-def check_theorem3(g: Multigraph) -> Verdict:
-    """Superstable graphs omitting 3 but containing some m > 3 in their
-    cyclic Betti numbers must be the fat-triangle (with b1 = 4)."""
-    return check_theorems(g)[1]
-
-
 def check_theorems(g: Multigraph) -> Tuple[Verdict, Verdict]:
-    """The verdicts of :func:`check_theorem2` and :func:`check_theorem3`:
-    the one copy of their rules judges one betti_profile and classify of g."""
+    """Theorems 2 and 3 on a superstable graph g, judged by the one copy of
+    their rules from one betti_profile and classify of g.  Theorem 2: if 2
+    is not a cyclic Betti number, g is split, the loop (b1 = 1) or the
+    tetrahedron (b1 = 3).  Theorem 3: if 3 is not one but some m > 3 is, g
+    is the fat triangle (b1 = 4).  A verdict whose hypothesis fails holds
+    vacuously, with the first cyclic set of Betti number 2 (3 for theorem
+    3, if any) as witness."""
     if not is_superstable(g):
         raise NotSuperstableError("theorem check needs a superstable graph")
     return _theorems(betti_profile(g), classify(g))

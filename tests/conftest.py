@@ -8,8 +8,10 @@ explicit edge lists, span membership by Gaussian elimination.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from math import factorial, prod
+from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 
@@ -397,6 +399,48 @@ def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:
         if mapped == target:
             return True
     return False
+
+
+def wick_mass(b1: int) -> Fraction:
+    """Sum of 1/|Aut G| over connected multigraphs G with first Betti number
+    b1 >= 2 and every valency at least 3, by Wick's theorem (Bessis,
+    Itzykson & Zuber, Adv. Appl. Math. 1980), with no graph built.
+
+    ``Aut`` counts half-edge automorphisms.  The mass is the coefficient of
+    h^(b1 - 1) in log Z, where Z sums over the multisets of vertex
+    valencies k >= 3, n_k vertices of valency k, the weight
+    (2E - 1)!! / prod_k (k!^n_k n_k!) at h^(E - V), with 2E = sum k n_k and
+    V = sum n_k.  A vertex of valency k adds (k - 2) / 2 to E - V, so the
+    multisets with sum (k - 2) n_k <= 2 (b1 - 1) are all that reach it.
+    """
+    top = b1 - 1
+
+    def multisets(k: int, budget: int) -> Iterator[Tuple[int, int, Fraction]]:
+        """(2E, V, 1 / prod (j!^n_j n_j!)) over multisets of valencies j >= k
+        with sum (j - 2) n_j <= budget."""
+        if k - 2 > budget:
+            yield 0, 0, Fraction(1)
+            return
+        for n in range(budget // (k - 2) + 1):
+            weight = Fraction(1, factorial(k) ** n * factorial(n))
+            for half_edges, vertices, rest in multisets(k + 1, budget - n * (k - 2)):
+                yield half_edges + n * k, vertices + n, weight * rest
+
+    z = [Fraction(0)] * (top + 1)  # coefficients of Z - 1 by power of h
+    for half_edges, vertices, weight in multisets(3, 2 * top):
+        if half_edges and half_edges % 2 == 0:
+            pairings = prod(range(half_edges - 1, 0, -2))  # (2E - 1)!!
+            z[half_edges // 2 - vertices] += pairings * weight
+
+    def times(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+        return [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(top + 1)]
+
+    # log Z = sum_j (-1)^(j + 1) (Z - 1)^j / j; Z - 1 starts at h^1
+    power, log = z, Fraction(0)
+    for j in range(1, top + 1):
+        log += Fraction((-1) ** (j + 1), j) * power[top]
+        power = times(power, z)
+    return log
 
 
 def lowest_first_reduction(g: Multigraph) -> Multigraph:

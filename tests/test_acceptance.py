@@ -14,7 +14,7 @@ from spincomb import (
     EdgeSubset,
     betti_number,
     build_graph,
-    check_theorem2,
+    check_theorems,
     contract_separating_edge,
     cyclic_betti_set,
     cyclic_sets,
@@ -28,8 +28,7 @@ from spincomb import (
     smooth_valency2,
     spin_report,
     superstable_reduction,
-    sweep_theorem2,
-    sweep_theorem3,
+    sweep_theorems,
     valency,
 )
 
@@ -189,23 +188,21 @@ def test_criterion_06_property_suite(capsys):
 
 def test_criterion_07_theorem2_sweep(capsys):
     started = time.perf_counter()
-    report = sweep_theorem2(8)
+    report = sweep_theorems(8)[0]
     assert report.violations == ()
     assert report.hypothesis_exercised >= 3
     for g in (loop_graph(), tetrahedron(), split_graph(4), split_graph(8)):
         assert g.edge_count <= 8  # hence part of the sweep
-        assert check_theorem2(g).hypothesis_exercised
+        assert check_theorems(g)[0].hypothesis_exercised
     _report(capsys, "criterion 07 first classification sweep to 8 edges", started, 600)
 
 
 def test_criterion_08_theorem3_sweep(capsys):
     started = time.perf_counter()
-    report = sweep_theorem3(8)
+    report = sweep_theorems(8)[1]
     assert report.violations == ()
     assert report.hypothesis_exercised >= 1
-    from spincomb import check_theorem3
-
-    v = check_theorem3(fat_triangle())
+    v = check_theorems(fat_triangle())[1]
     assert v.hypothesis_exercised and v.holds
     assert cyclic_betti_set(fat_triangle()) == {0, 1, 2, 4}
     _report(capsys, "criterion 08 second classification sweep to 8 edges", started, 600)

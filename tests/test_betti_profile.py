@@ -38,8 +38,7 @@ from spincomb import (
     betti_profile,
     build_graph,
     check_corollary_final,
-    check_theorem2,
-    check_theorem3,
+    check_theorems,
     connected_components,
     cycle_basis,
     cyclic_betti_set,
@@ -147,8 +146,7 @@ class TestCap:
             lambda: betti_profile(g),
             lambda: cyclic_betti_set(g),
             lambda: spin_report(CurveDualGraph(g, (0, 0))),
-            lambda: check_theorem2(g),
-            lambda: check_theorem3(g),
+            lambda: check_theorems(g),
             lambda: check_corollary_final(CurveDualGraph(g, (0, 0))),
             lambda: list(cyclic_sets(g)),
             lambda: list(even_sets(CurveDualGraph(g, (0, 0)))),
@@ -210,14 +208,14 @@ class TestTheoremWitnesses:
 
     def test_named_graphs(self):
         for g, want2, want3 in self.NAMED:
-            for v, want in ((check_theorem2(g), want2), (check_theorem3(g), want3)):
+            for v, want in zip(check_theorems(g), (want2, want3)):
                 assert (v.holds, v.hypothesis_exercised, _witness_bits(v)) == want
 
     def test_random_superstable_witnesses_are_first_in_counter_order(self):
         rng = random.Random(2024)
         for _ in range(200):
             g = _random_superstable(rng)
-            v2, v3 = check_theorem2(g), check_theorem3(g)
+            v2, v3 = check_theorems(g)
             want2 = _first_with_betti(g, 2)
             assert _witness_bits(v2) == want2
             assert v2.hypothesis_exercised == (want2 is None)
@@ -234,7 +232,7 @@ class TestTheoremWitnesses:
                 v = check_corollary_final(x)
             except PreconditionFailedError:
                 continue
-            v2, v3 = check_theorem2(g), check_theorem3(g)
+            v2, v3 = check_theorems(g)
             assert v.holds == (v2.holds and v3.holds)
             assert v.hypothesis_exercised == (v2.hypothesis_exercised or v3.hypothesis_exercised)
             assert v.classification == v2.classification and v.witness is None

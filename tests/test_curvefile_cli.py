@@ -438,7 +438,7 @@ class TestCli:
         assert data["violating_classes"] == [
             {
                 "theorem": 2,
-                "canonical_key": [list(edge) for edge in k33.canonical_key],
+                "canonical_key": [list(edge) for edge in k33],
                 "cyclic_betti_set": [0, 1],
                 "classification": "other",
             }
@@ -446,7 +446,7 @@ class TestCli:
         assert (data["theorem2"]["violations"], data["theorem3"]["violations"]) == (1, 0)
         assert main(["verify", "9"]) == 1
         lines = capsys.readouterr().out.splitlines()
-        edges = " ".join(f"{a}-{b}" for a, b in k33.canonical_key)
+        edges = " ".join(f"{a}-{b}" for a, b in k33)
         assert lines[3:] == [f"theorem2 violated by {edges}: B={{0, 1}}, classification=other"]
         assert sweep.cache_info().misses == 1
 

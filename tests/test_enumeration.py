@@ -1,5 +1,7 @@
+import collections
 import itertools
 import math
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -15,8 +17,6 @@ from spincomb import (
     separating_edges,
     check_theorems,
     classify,
-    sweep_theorem2,
-    sweep_theorem3,
     sweep_theorems,
 )
 from spincomb import enumeration
@@ -37,6 +37,7 @@ from conftest import (
     relabeled,
     split_graph,
     tetrahedron,
+    wick_mass,
 )
 
 
@@ -113,7 +114,7 @@ def permutation_key(n, edges):
 
 
 def permutation_form(g):
-    """``canonical_form(g).canonical_key`` with each component labelled by
+    """``canonical_form(g)`` with each component labelled by
     :func:`permutation_key`."""
     pieces = []
     for block in connected_components(g):
@@ -214,7 +215,7 @@ class TestAgainstPermutationOracle:
         this 8-vertex unicyclic graph it is larger."""
         g = build_graph(8, list(self.CHANGED))
         assert permutation_key(8, self.CHANGED) == self.CHANGED
-        assert canonical_form(g).canonical_key == self.NEW_KEY > self.CHANGED
+        assert canonical_form(g) == self.NEW_KEY > self.CHANGED
         h = build_graph(8, list(self.NEW_KEY))
         assert nx.is_isomorphic(_to_networkx(g), _to_networkx(h))
 
@@ -248,17 +249,17 @@ class TestCanonicalForm:
         big = [(1000 + i, 1000 + (i + 1) % 12) for i in range(12)]
         with pytest.raises(TooLargeError):
             canonical_form(build_graph(1012, loops + big))
-        assert len(canonical_form(_cycle(cap)).canonical_key) == cap
+        assert len(canonical_form(_cycle(cap))) == cap
 
     @pytest.mark.parametrize("name", sorted(_SYMMETRIC))
     def test_symmetric_graph_relabel_invariance(self, name, rng):
         g = _SYMMETRIC[name]
-        key = canonical_form(g).canonical_key
+        key = canonical_form(g)
         assert len(key) == g.edge_count
         for _ in range(5):
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
-            assert canonical_form(relabeled(g, perm)).canonical_key == key
+            assert canonical_form(relabeled(g, perm)) == key
 
     def test_symmetric_graphs_distinct_iff_not_isomorphic(self):
         names = sorted(_SYMMETRIC)
@@ -293,18 +294,18 @@ class TestCanonicalForm:
                 sub = Multigraph(len(block), tuple(
                     (block.index(a), block.index(b)) for a, b in p.edges if a in block
                 ))
-                pieces.append((sub.vertex_count, sub.edge_count, canonical_form(sub).canonical_key))
+                pieces.append((sub.vertex_count, sub.edge_count, canonical_form(sub)))
         g = build_graph(n, [(min(e), max(e)) for e in edges])
-        assert canonical_form(g).canonical_key == enumeration._join(pieces)
-        assert canonical_form(g).canonical_key == permutation_form(g)
+        assert canonical_form(g) == enumeration._join(pieces)
+        assert canonical_form(g) == permutation_form(g)
 
     def test_interned_past_the_enumerator_sizes(self, rng):
         """Past the largest offset the enumerator's unions reach,
         2 * MAX_ENUM_EDGES + 2, the key holds the values of a tuple built
         per edge, and each pair as one tuple."""
-        loops = canonical_form(build_graph(1000, [(v, v) for v in range(1000)])).canonical_key
+        loops = canonical_form(build_graph(1000, [(v, v) for v in range(1000)]))
         assert loops == tuple((v, v) for v in range(1000))
-        assert loops[0] is canonical_form(loop_graph()).canonical_key[0]
+        assert loops[0] is canonical_form(loop_graph())[0]
         parts = [random_connected_graph(rng, max_b1=3, max_vertices=6) for _ in range(300)]
         n = sum(p.vertex_count for p in parts)
         assert n > 2 * enumeration.MAX_ENUM_EDGES + 2
@@ -314,8 +315,8 @@ class TestCanonicalForm:
         for p in parts:
             edges += [(perm[a + offset], perm[b + offset]) for a, b in p.edges]
             offset += p.vertex_count
-        key = canonical_form(build_graph(n, edges)).canonical_key
-        pieces = sorted((p.vertex_count, p.edge_count, canonical_form(p).canonical_key)
+        key = canonical_form(build_graph(n, edges))
+        pieces = sorted((p.vertex_count, p.edge_count, canonical_form(p))
                         for p in parts)
         expected, offset = [], 0
         for nverts, _, piece in pieces:
@@ -392,7 +393,7 @@ class TestEnumerate:
         keys = {g.edges for g in got}
         for n in range(1, 6):
             cycle = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
-            assert canonical_form(cycle).canonical_key in keys
+            assert canonical_form(cycle) in keys
         for g in got:
             val = [0] * g.vertex_count
             for a, b in g.edges:
@@ -425,7 +426,7 @@ class TestEnumerate:
             enumerate_multigraphs(enumeration.MAX_ENUM_EDGES + 1, connected=connected)
         after = enumeration._connected_classes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
-        form = Multigraph(max_edges, canonical_form(_cycle(max_edges)).canonical_key)
+        form = Multigraph(max_edges, canonical_form(_cycle(max_edges)))
         assert form.edge_count == max_edges and not separating_edges(form)
 
     @pytest.mark.parametrize("connected", [True, False])
@@ -466,6 +467,20 @@ class TestEnumerate:
         after = enumeration._connected_classes.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    def test_non_integer_bound_refused_on_the_call(self):
+        """A bound that is not an int, 2.0 included, is refused on the call
+        by the enumerator and the sweep alike, before anything is built."""
+        before = enumeration._connected_classes.cache_info()
+        for call in (
+            lambda: enumerate_multigraphs(9.5),
+            lambda: enumerate_multigraphs(2.0),
+            lambda: sweep_theorems(3.5),
+        ):
+            with pytest.raises(TooLargeError):
+                call()
+        after = enumeration._connected_classes.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_seven_edges_hold_every_tree(self):
         """The classes on 8 vertices with at most 7 edges are the 23 trees
         with 7 edges."""
@@ -486,7 +501,7 @@ class TestEnumerate:
             g for g in enumerate_multigraphs(7, connected=True) if not separating_edges(g)
         ]
         cycle = build_graph(7, [(i, (i + 1) % 7) for i in range(7)])
-        assert canonical_form(cycle).canonical_key in {g.edges for g in seven}
+        assert canonical_form(cycle) in {g.edges for g in seven}
         pruned = [
             g for g in enumerate_multigraphs(9, superstable=True) if not separating_edges(g)
         ]
@@ -526,10 +541,10 @@ class TestEnumerate:
                 assert enumeration._sort_key(parts) == (
                     g.vertex_count,
                     g.edge_count,
-                    canonical_form(g).canonical_key,
+                    canonical_form(g),
                 )
             keys = [
-                (g.vertex_count, g.edge_count, canonical_form(g).canonical_key)
+                (g.vertex_count, g.edge_count, canonical_form(g))
                 for g in got
             ]
             assert keys == sorted(set(keys))
@@ -544,7 +559,7 @@ class TestEnumerate:
             enumerate_multigraphs(max_edges, connected=connected, superstable=superstable)
         )
         for g in got:
-            assert g.edges == canonical_form(g).canonical_key
+            assert g.edges == canonical_form(g)
         keys = [(g.vertex_count, g.edge_count, g.edges) for g in got]
         assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -606,7 +621,7 @@ class TestDeficitPruning:
         level = {(): 1}
         for _ in range(7):
             children = [
-                (_deficit_oracle(g), canonical_form(g).canonical_key, g.vertex_count)
+                (_deficit_oracle(g), canonical_form(g), g.vertex_count)
                 for g in _every_child(level)
             ]
             for budget in [None, *range(7)]:
@@ -676,46 +691,45 @@ class TestDeficitPruning:
             h = good[0]
             assert h.vertex_count <= g.vertex_count
             grown = enumeration._grow(
-                {canonical_form(h).canonical_key: h.vertex_count}, None
+                {canonical_form(h): h.vertex_count}, None
             )
-            assert canonical_form(g).canonical_key in grown
+            assert canonical_form(g) in grown
 
 
 class TestSweeps:
     def test_sweep2_one_edge(self):
-        report = sweep_theorem2(1)
+        report = sweep_theorems(1)[0]
         assert report.graphs_examined == 1  # only the single loop
         assert report.hypothesis_exercised == 1
         assert report.violations == ()
         assert not report.vacuous == report.graphs_examined  # some exercised
 
     def test_sweep2_six_edges(self):
-        report = sweep_theorem2(6)
+        report = sweep_theorems(6)[0]
         assert report.violations == ()
         assert report.hypothesis_exercised >= 3  # loop, tetrahedron, splits
         assert report.graphs_examined > 100
 
     def test_sweep3_six_edges(self):
-        report = sweep_theorem3(6)
+        report = sweep_theorems(6)[1]
         assert report.violations == ()
         assert report.hypothesis_exercised == 1  # only the triple-digon graph
         ft = fat_triangle()
         assert cyclic_betti_set(ft) == {0, 1, 2, 4}
 
     def test_sweep_counts_add_up(self):
-        report = sweep_theorem2(5)
+        report = sweep_theorems(5)[0]
         assert report.hypothesis_exercised + report.vacuous == report.graphs_examined
         assert report.elapsed >= 0.0
 
     @pytest.mark.parametrize("max_edges", [6, 8])
     def test_one_pass_equals_separate_sweeps(self, max_edges):
-        """Both reports of the one pass, and the sweep per theorem, match the
-        theorem rules applied here to an independent B (the oracle basis in
-        counter order, each set's b1 by a dict union-find) and the class
-        from classify; each class's verdicts, witnesses included, too."""
+        """Both reports of the one pass equal the sweeps made separately
+        here: the theorem rules applied to an independent B (the oracle
+        basis in counter order, each set's b1 by a dict union-find) and the
+        class from classify; each class's verdicts, witnesses included, too."""
         classes = list(enumerate_multigraphs(max_edges, superstable=True))
         reports = sweep_theorems(max_edges)
-        separate = (sweep_theorem2(max_edges), sweep_theorem3(max_edges))
         verdicts: tuple = ([], [])
         for g in classes:
             sets = counter_order_oracle(cycle_basis_oracle(g)[1])
@@ -738,24 +752,82 @@ class TestSweeps:
             else:
                 verdicts[1].append(Verdict(cls == "fat_triangle", cls, hypothesis_exercised=True))
             assert check_theorems(g) == (verdicts[0][-1], verdicts[1][-1])
-        for report, alone, want_verdicts in zip(reports, separate, verdicts):
+        for report, want_verdicts in zip(reports, verdicts):
             exercised = sum(v.hypothesis_exercised for v in want_verdicts)
             violations = tuple(
-                (canonical_form(g).canonical_key, v)
+                (canonical_form(g), v)
                 for g, v in zip(classes, want_verdicts)
                 if not v.holds
             )
             want = (len(classes), exercised, len(classes) - exercised, violations)
-            for got in (report, alone):
-                assert (
-                    got.graphs_examined,
-                    got.hypothesis_exercised,
-                    got.vacuous,
-                    got.violations,
-                ) == want
+            assert (
+                report.graphs_examined,
+                report.hypothesis_exercised,
+                report.vacuous,
+                report.violations,
+            ) == want
         assert reports[0].elapsed == reports[1].elapsed
 
     @pytest.mark.parametrize("max_edges", [0, enumeration.MAX_ENUM_EDGES + 1])
     def test_sweep_admits_the_enumeration_bound(self, max_edges):
         with pytest.raises(TooLargeError):
             sweep_theorems(max_edges)
+
+
+def _automorphism_order(g):
+    """|Aut G| counting half-edges: the vertex permutations that keep every
+    edge multiplicity m_uv and loop count l_v, by brute force, times
+    prod m_uv! (u < v) for the parallel edges and prod l_v! 2^l_v for the
+    loops, which may also be permuted and reversed."""
+    n = g.vertex_count
+    mult = collections.Counter(g.edges)
+    vertex_maps = sum(
+        all(mult[min(p[a], p[b]), max(p[a], p[b])] == m for (a, b), m in mult.items())
+        for p in itertools.permutations(range(n))
+    )
+    edge_maps = 1
+    for (a, b), m in mult.items():
+        edge_maps *= math.factorial(m) * (2 ** m if a == b else 1)
+    return vertex_maps * edge_maps
+
+
+class TestSuperstableCensus:
+    """The 9-edge superstable build holds every connected superstable class
+    of b1 = 2, 3 and 4, which have at most 3 b1 - 3 edges."""
+
+    @staticmethod
+    def _by_betti():
+        classes = collections.defaultdict(list)
+        for g in enumerate_multigraphs(9, connected=True, superstable=True):
+            classes[betti_number(g)].append(g)
+        return classes
+
+    def test_mass_matches_wick(self):
+        """The sum of 1/|Aut| over each b1's classes equals the mass from
+        Wick's theorem, which builds no graph."""
+        classes = self._by_betti()
+        for b1, want in ((2, Fraction(1, 3)), (3, Fraction(13, 12)), (4, Fraction(1661, 240))):
+            assert wick_mass(b1) == want
+            assert sum(Fraction(1, _automorphism_order(g)) for g in classes[b1]) == want
+
+    def test_census_of_cyclic_betti_sets(self):
+        """The class count of each realized B at b1 <= 4, the baseline of a
+        census complete by genus."""
+        census = {
+            b1: collections.Counter(tuple(sorted(cyclic_betti_set(g))) for g in graphs)
+            for b1, graphs in self._by_betti().items()
+            if 2 <= b1 <= 4
+        }
+        assert census == {
+            2: {(0, 1): 1, (0, 1, 2): 2},
+            3: {(0, 1): 1, (0, 1, 2): 6, (0, 1, 2, 3): 7, (0, 1, 3): 1},
+            4: {
+                (0, 1): 1,
+                (0, 1, 2): 18,
+                (0, 1, 2, 3): 53,
+                (0, 1, 2, 3, 4): 37,
+                (0, 1, 2, 4): 1,
+                (0, 1, 3): 1,
+            },
+        }
+        assert {b1: sum(c.values()) for b1, c in census.items()} == {2: 3, 3: 15, 4: 111}

@@ -1,6 +1,7 @@
 """Every top-level import of a module in ``src/spincomb`` or ``tests`` is
 used by that module.  Names listed in ``__all__`` count as used, and
-``from __future__ import annotations`` is exempt.  Every module-level
+``from __future__ import annotations`` is exempt; the package's
+``__init__`` lists in ``__all__`` exactly what it imports.  Every module-level
 ``_private`` name of ``src/spincomb`` is read somewhere in the package, so
 a removed caller cannot leave its helper behind.  Every Python file of the
 package, the tests, the demos and the tools parses under the grammar of
@@ -55,6 +56,27 @@ def test_checker_flags_only_unused_names():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_exports_match_imports():
+    """``src/spincomb/__init__.py`` lists in ``__all__`` exactly the names
+    it imports, so a name cannot be dropped from only one of the two."""
+    tree = ast.parse((ROOT / "src" / "spincomb" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for a in node.names
+    ]
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        )
+    ]
+    assert len(imported) == len(set(imported)) and len(exported) == len(set(exported))
+    assert sorted(imported) == sorted(exported)
 
 
 def unread_private_names(sources: list) -> list:

@@ -8,8 +8,7 @@ from spincomb import (
     Multigraph,
     betti_number,
     build_graph,
-    check_theorem2,
-    check_theorem3,
+    check_theorems,
     classify,
     connected_components,
     contract_separating_edge,
@@ -127,6 +126,14 @@ class TestIsSuperstable:
     def test_split_with_three_edges(self):
         assert is_superstable(split_graph(3))
         assert not is_superstable(split_graph(2))
+
+    def test_empty_graph_is_not(self):
+        """The graph with no vertex has no component, so it is outside the
+        theorems' hypothesis, and no theorem-2 violation is reported."""
+        g = build_graph(0, [])
+        assert not is_superstable(g)
+        with pytest.raises(NotSuperstableError):
+            check_theorems(g)
 
 
 class TestIsSplit:
@@ -420,50 +427,50 @@ class TestInvarianceLemma:
 
 class TestTheorem2:
     def test_loop(self):
-        v = check_theorem2(loop_graph())
+        v = check_theorems(loop_graph())[0]
         assert v.holds and v.hypothesis_exercised
         assert v.classification == "loop"
 
     def test_tetrahedron(self):
-        v = check_theorem2(tetrahedron())
+        v = check_theorems(tetrahedron())[0]
         assert v.holds and v.hypothesis_exercised
         assert v.classification == "tetrahedron"
         assert betti_number(tetrahedron()) == 3
 
     def test_split(self):
-        v = check_theorem2(split_graph(5))
+        v = check_theorems(split_graph(5))[0]
         assert v.holds and v.hypothesis_exercised
         assert v.classification == "split"
 
     def test_fat_triangle_vacuous_with_witness(self):
         g = fat_triangle()
-        v = check_theorem2(g)
+        v = check_theorems(g)[0]
         assert v.holds and not v.hypothesis_exercised
         assert v.witness is not None
         assert subset_betti(g, v.witness) == 2
 
     def test_requires_superstable(self):
         with pytest.raises(NotSuperstableError):
-            check_theorem2(triangle())
+            check_theorems(triangle())
 
 
 class TestTheorem3:
     def test_fat_triangle(self):
-        v = check_theorem3(fat_triangle())
+        v = check_theorems(fat_triangle())[1]
         assert v.holds and v.hypothesis_exercised
         assert v.classification == "fat_triangle"
 
     def test_tetrahedron_vacuous(self):
-        v = check_theorem3(tetrahedron())
+        v = check_theorems(tetrahedron())[1]
         assert v.holds and not v.hypothesis_exercised
 
     def test_split_b5_vacuous_with_witness(self):
         g = split_graph(6)  # b1 = 5, 3 in B
-        v = check_theorem3(g)
+        v = check_theorems(g)[1]
         assert v.holds and not v.hypothesis_exercised
         assert v.witness is not None
         assert subset_betti(g, v.witness) == 3
 
     def test_requires_superstable(self):
         with pytest.raises(NotSuperstableError):
-            check_theorem3(triangle())
+            check_theorems(triangle())

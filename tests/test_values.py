@@ -1,4 +1,4 @@
-"""The package's eleven value types share one slotted, immutable base, and
+"""The package's ten value types share one slotted, immutable base, and
 importing the package and its CLI loads no ``dataclasses``, ``inspect``,
 ``ast`` or ``dis``, so that a cold start stays short."""
 
@@ -17,13 +17,12 @@ from spincomb import (
     Verdict,
     ZeroChain,
     build_graph,
-    canonical_form,
-    check_theorem2,
+    check_theorems,
     cycle_basis,
     parse_curve,
     spin_report,
     support_description,
-    sweep_theorem2,
+    sweep_theorems,
 )
 from spincomb.errors import BadIndexError
 from spincomb.graphs import _Value
@@ -45,12 +44,11 @@ VALUES = {
     "EdgeSubset": lambda: EdgeSubset(5, 3),
     "ZeroChain": lambda: ZeroChain(5, 3),
     "CycleBasis": lambda: cycle_basis(theta()),
-    "Verdict": lambda: check_theorem2(theta()),
+    "Verdict": lambda: check_theorems(theta())[0],
     "CurveDualGraph": theta_curve,
     "SpinReport": lambda: spin_report(theta_curve()),
     "SupportDescription": lambda: support_description(theta_curve(), EdgeSubset(3, 3)),
-    "CanonicalForm": lambda: canonical_form(theta()),
-    "SweepReport": lambda: sweep_theorem2(3),
+    "SweepReport": lambda: sweep_theorems(3)[0],
     "CurveFile": lambda: parse_curve("v a genus=0\nv b genus=1\ne x a b\ne y a b\n"),
 }
 
