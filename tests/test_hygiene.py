@@ -18,10 +18,9 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 SOURCES = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
-def unused_imports(source: str) -> list:
-    """Names bound by the top-level imports of ``source`` that no expression
-    of the module reads and ``__all__`` does not list, sorted."""
-    tree = ast.parse(source)
+def imports_and_exports(tree: ast.Module) -> tuple:
+    """The names bound by the top-level imports of a module and the names
+    its ``__all__`` lists, as two sets."""
     imported = set()
     exported = set()
     for node in tree.body:
@@ -33,6 +32,14 @@ def unused_imports(source: str) -> list:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             exported.update(ast.literal_eval(node.value))
+    return imported, exported
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the top-level imports of ``source`` that no expression
+    of the module reads and ``__all__`` does not list, sorted."""
+    tree = ast.parse(source)
+    imported, exported = imports_and_exports(tree)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used - exported)
 
@@ -61,22 +68,9 @@ def test_no_unused_imports(path):
 def test_exports_match_imports():
     """``src/spincomb/__init__.py`` lists in ``__all__`` exactly the names
     it imports, so a name cannot be dropped from only one of the two."""
-    tree = ast.parse((ROOT / "src" / "spincomb" / "__init__.py").read_text(encoding="utf-8"))
-    imported = [
-        a.asname or a.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for a in node.names
-    ]
-    (exported,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        )
-    ]
-    assert len(imported) == len(set(imported)) and len(exported) == len(set(exported))
-    assert sorted(imported) == sorted(exported)
+    init = (ROOT / "src" / "spincomb" / "__init__.py").read_text(encoding="utf-8")
+    imported, exported = imports_and_exports(ast.parse(init))
+    assert imported == exported
 
 
 def unread_private_names(sources: list) -> list:
