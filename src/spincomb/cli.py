@@ -19,7 +19,7 @@ from .curvefile import CurveFile, parse_curve
 from .cycles import betti_profile, cyclic_betti_set, is_eulerian
 from .enumeration import SweepReport, sweep_theorems
 from .errors import CapExceededError, CurveFileError, GraphError, VanishingComponentError
-from .graphs import Multigraph, _lowpoint_dfs
+from .graphs import _lowpoint_dfs
 from .spin import _betti, _corollary_split, even_set_supports, spin_report
 from .transforms import Verdict, _theorems, classify, is_superstable, superstable_reduction
 
@@ -197,39 +197,33 @@ def _render_evensets(data: dict) -> Iterator[str]:
         )
 
 
-def _sweep_dict(report: SweepReport) -> dict:
+def _sweep_dict(report: SweepReport, i: int) -> dict:
+    exercised = report.hypothesis_exercised[i]
     return {
         "graphs_examined": report.graphs_examined,
-        "hypothesis_exercised": report.hypothesis_exercised,
-        "vacuous": report.vacuous,
-        "violations": len(report.violations),
+        "hypothesis_exercised": exercised,
+        "vacuous": report.graphs_examined - exercised,
+        "violations": len(report.violations[i]),
         "elapsed_seconds": round(report.elapsed, 3),
     }
 
 
-def _violation_dicts(theorem: int, report: SweepReport) -> List[dict]:
-    out = []
-    for key, verdict in report.violations:
-        # a superstable class has no isolated vertex
-        g = Multigraph(1 + max(map(max, key)), key)
-        out.append(
-            {
-                "theorem": theorem,
-                "canonical_key": [list(edge) for edge in key],
-                "cyclic_betti_set": sorted(cyclic_betti_set(g)),
-                "classification": verdict.classification,
-            }
-        )
-    return out
-
-
 def cmd_verify(max_edges: int) -> dict:
-    theorem2, theorem3 = sweep_theorems(max_edges)
+    report = sweep_theorems(max_edges)
     return {
         "max_edges": max_edges,
-        "theorem2": _sweep_dict(theorem2),
-        "theorem3": _sweep_dict(theorem3),
-        "violating_classes": _violation_dicts(2, theorem2) + _violation_dicts(3, theorem3),
+        "theorem2": _sweep_dict(report, 0),
+        "theorem3": _sweep_dict(report, 1),
+        "violating_classes": [
+            {
+                "theorem": i + 2,
+                "canonical_key": [list(edge) for edge in key],
+                "cyclic_betti_set": sorted(betti_set),
+                "classification": verdict.classification,
+            }
+            for i in range(2)
+            for key, betti_set, verdict in report.violations[i]
+        ],
     }
 
 

@@ -40,15 +40,11 @@ _SUBTREE = 12
 class CycleBasis(_Value):
     """Fundamental-cycle basis from a deterministic spanning forest."""
 
-    __slots__ = ("graph_edge_count", "basis_vectors", "spanning_forest")
+    __slots__ = ("basis_vectors", "spanning_forest")
 
     def __init__(
-        self,
-        graph_edge_count: int,
-        basis_vectors: Tuple[EdgeSubset, ...],
-        spanning_forest: EdgeSubset,
+        self, basis_vectors: Tuple[EdgeSubset, ...], spanning_forest: EdgeSubset
     ) -> None:
-        _set_field(self, "graph_edge_count", graph_edge_count)
         _set_field(self, "basis_vectors", basis_vectors)
         _set_field(self, "spanning_forest", spanning_forest)
 
@@ -88,7 +84,7 @@ def cycle_basis(g: Multigraph) -> CycleBasis:
     vectors = _class_basis(g, capped=False)[3]
     closing = EdgeSubset.from_indices(width, (v.bit_length() - 1 for v in vectors))
     forest = EdgeSubset.full(width) ^ closing
-    return CycleBasis(width, tuple(EdgeSubset(v, width) for v in vectors), forest)
+    return CycleBasis(tuple(EdgeSubset(v, width) for v in vectors), forest)
 
 
 def _class_basis(g: Multigraph, capped: bool) -> Tuple[int, Tuple[Edge, ...], List[int], List[int]]:

@@ -48,12 +48,14 @@ import time
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .cycles import betti_profile
 from .errors import TooLargeError
 from .graphs import Multigraph, _set_field, _Value, connected_components
-from .transforms import Verdict, check_theorems
+from .transforms import Verdict, _theorems, classify
 
 Edge = Tuple[int, int]
 Key = Tuple[Edge, ...]
+Violation = Tuple[Key, frozenset, Verdict]
 
 #: Enumeration is desk-scale; larger bounds are refused.
 MAX_ENUM_EDGES = 10
@@ -66,19 +68,21 @@ _PAIRS: Dict[Edge, Edge] = {}
 
 
 class SweepReport(_Value):
-    __slots__ = ("graphs_examined", "hypothesis_exercised", "vacuous", "violations", "elapsed")
+    """Both theorem sweeps of one pass: ``hypothesis_exercised`` and
+    ``violations`` are pairs indexed like :func:`check_theorems`' verdicts,
+    and a violation is (key, the class's cyclic Betti set B, verdict)."""
+
+    __slots__ = ("graphs_examined", "hypothesis_exercised", "violations", "elapsed")
 
     def __init__(
         self,
         graphs_examined: int,
-        hypothesis_exercised: int,
-        vacuous: int,
-        violations: Tuple[Tuple[Key, Verdict], ...],
+        hypothesis_exercised: Tuple[int, int],
+        violations: Tuple[Tuple[Violation, ...], Tuple[Violation, ...]],
         elapsed: float,
     ) -> None:
         _set_field(self, "graphs_examined", graphs_examined)
         _set_field(self, "hypothesis_exercised", hypothesis_exercised)
-        _set_field(self, "vacuous", vacuous)
         _set_field(self, "violations", violations)
         _set_field(self, "elapsed", elapsed)
 
@@ -333,35 +337,31 @@ def _sort_key(parts: List[Multigraph]) -> Tuple[int, int, Key]:
     )
 
 
-def sweep_theorems(max_edges: int) -> Tuple[SweepReport, SweepReport]:
+def sweep_theorems(max_edges: int) -> SweepReport:
     """Check both classifications on every superstable class in one pass.
 
-    Each class gets one betti_profile and one classify, shared by the
-    theorem 2 and theorem 3 verdicts.  Both reports carry the elapsed time
-    of the whole pass, enumeration included.  max_edges must be a bound
-    that ``enumerate_multigraphs(max_edges, superstable=True)`` admits, an
-    int in 1..MAX_ENUM_EDGES; that call raises TooLargeError on any other.
+    Each class, superstable by construction, gets one betti_profile and one
+    classify, shared by the theorem 2 and theorem 3 verdicts.  The elapsed
+    time covers the whole pass, enumeration included.  max_edges must be a
+    bound that ``enumerate_multigraphs(max_edges, superstable=True)``
+    admits, an int in 1..MAX_ENUM_EDGES; that call raises TooLargeError on
+    any other.
     """
     start = time.perf_counter()
     examined = 0
     exercised = [0, 0]
-    violations: Tuple[List[Tuple[Key, Verdict]], ...] = ([], [])
+    violations: Tuple[List[Violation], ...] = ([], [])
     for g in enumerate_multigraphs(max_edges, superstable=True):
         examined += 1
-        for i, verdict in enumerate(check_theorems(g)):
+        profile = betti_profile(g)
+        for i, verdict in enumerate(_theorems(profile, classify(g))):
             if verdict.hypothesis_exercised:
                 exercised[i] += 1
             if not verdict.holds:
-                violations[i].append((g.edges, verdict))
-    elapsed = time.perf_counter() - start
-    return tuple(
-        SweepReport(
-            graphs_examined=examined,
-            hypothesis_exercised=exercised[i],
-            vacuous=examined - exercised[i],
-            violations=tuple(violations[i]),
-            elapsed=elapsed,
-        )
-        for i in range(2)
+                violations[i].append((g.edges, frozenset(profile), verdict))
+    return SweepReport(
+        graphs_examined=examined,
+        hypothesis_exercised=tuple(exercised),
+        violations=tuple(map(tuple, violations)),
+        elapsed=time.perf_counter() - start,
     )
-

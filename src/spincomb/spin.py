@@ -22,7 +22,7 @@ from .graphs import (
     connected_components,
     subset_betti,
 )
-from .transforms import Verdict, check_theorems, classify, is_superstable
+from .transforms import Verdict, _theorems, classify, is_superstable
 
 
 class CurveDualGraph(_Value):
@@ -93,7 +93,6 @@ class SupportDescription(_Value):
 
     __slots__ = (
         "even_set",
-        "blown_up_nodes",
         "exceptional_count",
         "gluing_dimension",
         "point_count",
@@ -103,14 +102,12 @@ class SupportDescription(_Value):
     def __init__(
         self,
         even_set: EdgeSubset,
-        blown_up_nodes: EdgeSubset,  # complement: nodes replaced by exceptional lines
-        exceptional_count: int,
+        exceptional_count: int,  # nodes outside the set, replaced by exceptional lines
         gluing_dimension: int,  # b1 of the even set
         point_count: int,  # 2^(2p) * 2^(b1 of the even set)
         multiplicity_exponent: int,  # b - b1 of the even set
     ) -> None:
         _set_field(self, "even_set", even_set)
-        _set_field(self, "blown_up_nodes", blown_up_nodes)
         _set_field(self, "exceptional_count", exceptional_count)
         _set_field(self, "gluing_dimension", gluing_dimension)
         _set_field(self, "point_count", point_count)
@@ -217,11 +214,9 @@ def even_set_supports(x: CurveDualGraph) -> Iterator[SupportDescription]:
 
 
 def _support(delta: EdgeSubset, n1: int, b: int, p: int) -> SupportDescription:
-    complement = delta ^ EdgeSubset.full(delta.width)
     return SupportDescription(
         even_set=delta,
-        blown_up_nodes=complement,
-        exceptional_count=len(complement),
+        exceptional_count=delta.width - len(delta),
         gluing_dimension=n1,
         point_count=1 << (2 * p + n1),
         multiplicity_exponent=b - n1,
@@ -260,7 +255,7 @@ def check_corollary_final(x: CurveDualGraph) -> Verdict:
         raise PreconditionFailedError("curve genus must be at least 4")
     if not is_superstable(x.graph):
         raise PreconditionFailedError("dual graph must be superstable")
-    part_i, part_ii = check_theorems(x.graph)
+    part_i, part_ii = _theorems(betti_profile(x.graph), classify(x.graph))
     return Verdict(
         part_i.holds and part_ii.holds,
         part_i.classification,

@@ -6,7 +6,9 @@ lists; the tests check them against a search over all vertex permutations
 (the oracle ``are_isomorphic`` in ``tests/conftest.py``).  The rules of
 both theorems live in ``_theorems`` alone, which reads a graph's
 ``betti_profile`` and class; :func:`check_theorems` adds the superstable
-precondition and the pass.
+precondition and the pass.  The sweep, whose classes are superstable by
+construction, and ``check_corollary_final``, which checks it first, make
+the pass and read the rules themselves.
 
 :func:`eliminate_valency1`, :func:`smooth_valency2` and
 :func:`contract_separating_edge` are the single-step operations; each

@@ -450,6 +450,22 @@ class TestCli:
         assert lines[3:] == [f"theorem2 violated by {edges}: B={{0, 1}}, classification=other"]
         assert sweep.cache_info().misses == 1
 
+    def test_verify_makes_one_pass_per_class(self, capsys, monkeypatch):
+        """``verify 9`` reads each violator's B from the sweep's report, so
+        it walks the cycle space of each of its 2,835 classes once."""
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return betti_pass(g)
+
+        betti_pass = cycles._betti_pass
+        monkeypatch.setattr(cycles, "_betti_pass", counted)
+        assert main(["--json", "verify", "9"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["theorem2"]["graphs_examined"] == 2835
+        assert len(calls) == 2835
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/file.curve"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from spincomb import (
     sweep_theorems,
 )
 from spincomb import enumeration
+from spincomb.cli import main
 from spincomb.errors import TooLargeError
 from spincomb.graphs import EdgeSubset, Multigraph
 from spincomb.transforms import Verdict
@@ -598,6 +600,14 @@ class TestDeficitPruning:
         ]
         assert pruned == full
 
+    def test_nine_edge_classes_are_superstable(self):
+        """The sweep reads the theorem rules without re-checking that its
+        classes are superstable, so every class of its largest tier-1 bound
+        must be, disjoint unions included."""
+        classes = list(enumerate_multigraphs(9, superstable=True))
+        assert len(classes) == 2835
+        assert all(is_superstable(g) for g in classes)
+
     @pytest.mark.parametrize("pruned_first", [True, False])
     def test_cache_is_keyed_on_superstable(self, pruned_first):
         """The pruned and the full build of one bound are cached apart,
@@ -698,44 +708,55 @@ class TestDeficitPruning:
 
 class TestSweeps:
     def test_sweep2_one_edge(self):
-        report = sweep_theorems(1)[0]
+        report = sweep_theorems(1)
         assert report.graphs_examined == 1  # only the single loop
-        assert report.hypothesis_exercised == 1
-        assert report.violations == ()
-        assert not report.vacuous == report.graphs_examined  # some exercised
+        assert report.hypothesis_exercised[0] == 1
+        assert report.violations[0] == ()
 
     def test_sweep2_six_edges(self):
-        report = sweep_theorems(6)[0]
-        assert report.violations == ()
-        assert report.hypothesis_exercised >= 3  # loop, tetrahedron, splits
+        report = sweep_theorems(6)
+        assert report.violations[0] == ()
+        assert report.hypothesis_exercised[0] >= 3  # loop, tetrahedron, splits
         assert report.graphs_examined > 100
 
     def test_sweep3_six_edges(self):
-        report = sweep_theorems(6)[1]
-        assert report.violations == ()
-        assert report.hypothesis_exercised == 1  # only the triple-digon graph
+        report = sweep_theorems(6)
+        assert report.violations[1] == ()
+        assert report.hypothesis_exercised[1] == 1  # only the triple-digon graph
         ft = fat_triangle()
         assert cyclic_betti_set(ft) == {0, 1, 2, 4}
 
-    def test_sweep_counts_add_up(self):
-        report = sweep_theorems(5)[0]
-        assert report.hypothesis_exercised + report.vacuous == report.graphs_examined
+    def test_sweep_counts_add_up(self, capsys):
+        """The report's counts are those ``verify`` prints: per theorem, the
+        vacuous classes are the examined ones whose hypothesis failed."""
+        report = sweep_theorems(5)
         assert report.elapsed >= 0.0
+        assert main(["--json", "verify", "5"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        for i, tag in enumerate(("theorem2", "theorem3")):
+            r = data[tag]
+            assert r["graphs_examined"] == report.graphs_examined
+            assert r["hypothesis_exercised"] == report.hypothesis_exercised[i]
+            assert r["vacuous"] == r["graphs_examined"] - r["hypothesis_exercised"]
 
-    @pytest.mark.parametrize("max_edges", [6, 8])
+    @pytest.mark.parametrize("max_edges", [6, 8, 9])
     def test_one_pass_equals_separate_sweeps(self, max_edges):
-        """Both reports of the one pass equal the sweeps made separately
-        here: the theorem rules applied to an independent B (the oracle
-        basis in counter order, each set's b1 by a dict union-find) and the
-        class from classify; each class's verdicts, witnesses included, too."""
+        """Both halves of the one pass's report equal the sweeps made
+        separately here: the theorem rules applied to an independent B (the
+        oracle basis in counter order, each set's b1 by a dict union-find)
+        and the class from classify; each class's verdicts, witnesses
+        included, too, and each violation's B is the oracle's.  At 9 edges
+        K_{3,3} violates theorem 2."""
         classes = list(enumerate_multigraphs(max_edges, superstable=True))
-        reports = sweep_theorems(max_edges)
+        report = sweep_theorems(max_edges)
         verdicts: tuple = ([], [])
+        betti_sets = []
         for g in classes:
             sets = counter_order_oracle(cycle_basis_oracle(g)[1])
             first = {}
             for bits in sets:
                 first.setdefault(dict_union_find_betti(g, bits), bits)
+            betti_sets.append(frozenset(first))
             cls = classify(g)
 
             def vacuous(m):
@@ -752,21 +773,21 @@ class TestSweeps:
             else:
                 verdicts[1].append(Verdict(cls == "fat_triangle", cls, hypothesis_exercised=True))
             assert check_theorems(g) == (verdicts[0][-1], verdicts[1][-1])
-        for report, want_verdicts in zip(reports, verdicts):
-            exercised = sum(v.hypothesis_exercised for v in want_verdicts)
-            violations = tuple(
-                (canonical_form(g), v)
-                for g, v in zip(classes, want_verdicts)
+        exercised = tuple(sum(v.hypothesis_exercised for v in vs) for vs in verdicts)
+        violations = tuple(
+            tuple(
+                (canonical_form(g), b, v)
+                for g, b, v in zip(classes, betti_sets, vs)
                 if not v.holds
             )
-            want = (len(classes), exercised, len(classes) - exercised, violations)
-            assert (
-                report.graphs_examined,
-                report.hypothesis_exercised,
-                report.vacuous,
-                report.violations,
-            ) == want
-        assert reports[0].elapsed == reports[1].elapsed
+            for vs in verdicts
+        )
+        assert (report.graphs_examined, report.hypothesis_exercised, report.violations) == (
+            len(classes),
+            exercised,
+            violations,
+        )
+        assert len(violations[0]) == (max_edges >= 9)
 
     @pytest.mark.parametrize("max_edges", [0, enumeration.MAX_ENUM_EDGES + 1])
     def test_sweep_admits_the_enumeration_bound(self, max_edges):

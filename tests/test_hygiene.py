@@ -3,7 +3,10 @@ used by that module.  Names listed in ``__all__`` count as used, and
 ``from __future__ import annotations`` is exempt; the package's
 ``__init__`` lists in ``__all__`` exactly what it imports.  Every module-level
 ``_private`` name of ``src/spincomb`` is read somewhere in the package, so
-a removed caller cannot leave its helper behind.  Every Python file of the
+a removed caller cannot leave its helper behind.  Every field of a value
+type (a slot of a ``_Value`` subclass of the package) is read as
+``.<field>`` in the package, the tests or the demos, so a value type
+carries nothing only its constructor writes.  Every Python file of the
 package, the tests, the demos and the tools parses under the grammar of
 Python 3.10, the oldest version ``pyproject.toml`` declares."""
 
@@ -118,6 +121,53 @@ def test_private_checker_flags_only_unread_names():
 def test_no_unread_private_names():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert unread_private_names(sources) == []
+
+
+def unread_fields(package: list, readers: list) -> list:
+    """``Class.field`` for each ``__slots__`` entry of a class in ``package``
+    that derives from ``_Value`` and that no source of ``readers`` loads as
+    an attribute ``.field``, sorted."""
+    fields = []
+    for source in package:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id == "_Value" for b in node.bases
+            ):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                    ):
+                        fields.extend((node.name, f) for f in ast.literal_eval(stmt.value))
+    read = {
+        n.attr
+        for source in readers
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(f"{cls}.{field}" for cls, field in fields if field not in read)
+
+
+def test_field_checker_flags_only_unread_fields():
+    package = [
+        "class _Value:\n"
+        "    __slots__ = ()\n"
+        "class Pair(_Value):\n"
+        "    __slots__ = ('left', 'right', 'spare')\n"
+        "class Plain:\n"
+        "    __slots__ = ('hidden',)\n"
+        "def total(p):\n"
+        "    return p.left\n",
+    ]
+    readers = package + ["x = pair.right\nsetattr(pair, 'spare', 1)\npair.spare = 2\n"]
+    assert unread_fields(package, readers) == ["Pair.spare"]
+
+
+def test_every_value_field_is_read():
+    readers = MODULES + sorted((ROOT / "demos").glob("*.py"))
+    assert unread_fields(
+        [path.read_text(encoding="utf-8") for path in PACKAGE],
+        [path.read_text(encoding="utf-8") for path in readers],
+    ) == []
 
 
 @pytest.mark.parametrize(

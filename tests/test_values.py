@@ -48,7 +48,7 @@ VALUES = {
     "CurveDualGraph": theta_curve,
     "SpinReport": lambda: spin_report(theta_curve()),
     "SupportDescription": lambda: support_description(theta_curve(), EdgeSubset(3, 3)),
-    "SweepReport": lambda: sweep_theorems(3)[0],
+    "SweepReport": lambda: sweep_theorems(3),
     "CurveFile": lambda: parse_curve("v a genus=0\nv b genus=1\ne x a b\ne y a b\n"),
 }
 
